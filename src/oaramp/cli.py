@@ -13,9 +13,9 @@ import sys
 from typing import TextIO
 
 from . import designs, ramp
-from .designs import DEFAULT_CELL_CAP
 from .errors import CapExceeded, ConstructionError, SchemeError
 from .gf import GF, field_for_order
+from .linalg import DEFAULT_CELL_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,7 +162,7 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
     a = _load_stdin_array(stdin)
     if not isinstance(a, designs.OrthogonalArray):
         raise ValueError("aoa-merge expects an OA on standard input")
-    out.write(designs.dump_array(designs.aoa_merge(a, args.s, _cap(args))))
+    out.write(designs.dump_array(designs.aoa_merge(a, args.s, cap)))
     return 0
 
 
@@ -174,7 +174,7 @@ def _cmd_verify(args, stdin: TextIO, out: TextIO) -> int:
     else:
         res = designs.verify_aoa(a, cap)
     if res.ok:
-        out.write(f"{_describe(a)}: VALID ({len(a.rows)} rows, exhaustive)\n")
+        out.write(f"{_describe(a)}: VALID ({len(a.grid)} rows, exhaustive)\n")
         return 0
     out.write(f"{_describe(a)}: INVALID\n")
     out.write(f"witness: {res.witness.describe()}\n")
@@ -228,7 +228,7 @@ def _cmd_ramp(args, stdin: TextIO, out: TextIO) -> int:
             out.write(f"integrity failure: shares are consistent with secrets {cands}\n")
         return 1
     # audit
-    report = ramp.audit_security(sch)
+    report = ramp.audit_security(sch, cap)
     out.write(f"audit: {'PASS' if report.ok else 'FAIL'}\n")
     def word(flag):
         return "n/a" if flag is None else ("ok" if flag else "FAIL")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -25,9 +24,8 @@ import numpy as np
 
 from .errors import CapExceeded, ConstructionError
 from .gf import GF, factor_prime_power, field_for_order
-from .linalg import Matrix, columns_independent, kernel_vector, row_space
+from .linalg import DEFAULT_CELL_CAP, Matrix, columns_independent, kernel_vector, row_space
 
-DEFAULT_CELL_CAP = 10**7
 DEFAULT_SUBSET_CAP = 10**5
 
 
@@ -35,7 +33,42 @@ DEFAULT_SUBSET_CAP = 10**5
 # array types
 
 
-class OrthogonalArray:
+class _Array:
+    """One read-only int64 grid, one row per array row, in canonical order.
+    Derived arrays (a merge, a split, a ramp scheme) share their source's grid."""
+
+    __slots__ = ("grid",)
+
+    @classmethod
+    def _sharing(cls, grid: np.ndarray, *params: int):
+        """An array over ``grid``, which the caller guarantees is canonical and
+        valid for ``params`` (the constructor's leading arguments)."""
+        a = cls.__new__(cls)
+        a._fill(params, grid)
+        return a
+
+    def _fill(self, params: tuple[int, ...], grid: np.ndarray) -> None:
+        for name, value in zip(self.__slots__, params):
+            setattr(self, name, value)
+        self.grid = grid
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints, built from the grid on each access."""
+        return tuple(map(tuple, self.grid.tolist()))
+
+    @property
+    def expected_rows(self) -> int:
+        return self.v**self.t
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+                and np.array_equal(self.grid, other.grid))
+
+
+class OrthogonalArray(_Array):
     """A candidate OA(t,k,v); structural soundness is what verify_oa decides.
 
     The constructor enforces shape (row length k, symbols in [0, v-1]) and
@@ -43,85 +76,57 @@ class OrthogonalArray:
     property: those are verification verdicts, not type errors.
     """
 
-    __slots__ = ("t", "k", "v", "rows")
+    __slots__ = ("t", "k", "v")
 
     def __init__(self, t: int, k: int, v: int, rows: Iterable[Sequence[int]]):
-        if v < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {v}")
         if not 1 <= t <= k:
             raise ValueError(f"strength must satisfy 1 <= t <= k, got t={t}, k={k}")
-        self.t = t
-        self.k = k
-        self.v = v
-        self.rows = _canonical_rows(rows, k, v)
-
-    @property
-    def expected_rows(self) -> int:
-        return self.v**self.t
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrthogonalArray):
-            return NotImplemented
-        return (self.t, self.k, self.v, self.rows) == (other.t, other.k, other.v, other.rows)
+        self._fill((t, k, v), _canonical_grid(rows, k, v)[0])
 
     def __repr__(self) -> str:
-        return f"OA({self.t},{self.k},{self.v}) [{len(self.rows)} rows]"
+        return f"OA({self.t},{self.k},{self.v}) [{len(self.grid)} rows]"
 
 
-class AugmentedOA:
+class AugmentedOA(_Array):
     """A candidate AOA(s,t,k,v), stored flat: k plain symbols then t-s augmented digits."""
 
-    __slots__ = ("s", "t", "k", "v", "rows")
+    __slots__ = ("s", "t", "k", "v")
 
     def __init__(self, s: int, t: int, k: int, v: int, rows: Iterable[Sequence[int]]):
-        if v < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {v}")
         if not 0 <= s < t:
             raise ValueError(f"thresholds must satisfy 0 <= s < t, got s={s}, t={t}")
         if t > k:
             raise ValueError(f"strength must satisfy t <= k, got t={t}, k={k}")
-        self.s = s
-        self.t = t
-        self.k = k
-        self.v = v
-        self.rows = _canonical_rows(rows, k + (t - s), v)
+        self._fill((s, t, k, v), _canonical_grid(rows, k + (t - s), v)[0])
 
     @property
     def aug_width(self) -> int:
         return self.t - self.s
 
-    @property
-    def expected_rows(self) -> int:
-        return self.v**self.t
-
-    def plain(self, row: Sequence[int]) -> tuple[int, ...]:
-        return tuple(row[: self.k])
-
-    def augmented(self, row: Sequence[int]) -> tuple[int, ...]:
-        return tuple(row[self.k:])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AugmentedOA):
-            return NotImplemented
-        return (self.s, self.t, self.k, self.v, self.rows) == (
-            other.s, other.t, other.k, other.v, other.rows)
-
     def __repr__(self) -> str:
-        return f"AOA({self.s},{self.t},{self.k},{self.v}) [{len(self.rows)} rows]"
+        return f"AOA({self.s},{self.t},{self.k},{self.v}) [{len(self.grid)} rows]"
 
 
-def _canonical_rows(rows: Iterable[Sequence[int]], width: int, v: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in rows:
-        tup = tuple(row)
-        if len(tup) != width:
-            raise ValueError(f"row {tup} has length {len(tup)}, expected {width}")
-        for x in tup:
-            if not 0 <= x < v:
-                raise ValueError(f"symbol {x} outside [0, {v - 1}]")
-        out.append(tup)
-    out.sort()
-    return tuple(out)
+def _canonical_grid(rows: Iterable[Sequence[int]], width: int,
+                    v: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as a read-only grid in canonical (lexicographic) order, and the
+    permutation that sorted them: row i of the grid is input row order[i]."""
+    if v < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {v}")
+    rows = [tuple(r) for r in rows]
+    for r in rows:
+        if len(r) != width:
+            raise ValueError(f"row {r} has length {len(r)}, expected {width}")
+    try:
+        grid = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
+    if grid.size and not 0 <= grid.min() <= grid.max() < v:
+        raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
+    order = np.lexsort(grid.T[::-1])
+    grid = grid[order]
+    grid.setflags(write=False)
+    return grid, order
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +171,40 @@ def _check_caps(cells: int, subset_counts: list[int], max_cells: int, max_subset
             raise CapExceeded(f"verification needs {n} column subsets, cap is {max_subsets}")
 
 
-def _first_offender(counts: Counter, v: int, width: int) -> tuple[tuple[int, ...], int]:
-    """Lexicographically smallest tuple whose multiplicity differs from 1."""
-    for tup in itertools.product(range(v), repeat=width):
-        c = counts.get(tup, 0)
-        if c != 1:
-            return tup, c
-    raise AssertionError("no offender found in a failing subset")
+def _tally(keys: np.ndarray, size: int) -> np.ndarray:
+    """How often each integer in [0, size) occurs in ``keys``: the one place
+    rows are counted, for the verifiers, the split, the audit and reconstruct."""
+    return np.bincount(keys, minlength=size)
 
 
-def _projection_counts(rows, cols: tuple[int, ...]) -> Counter:
-    getter = itemgetter(*cols)
-    if len(cols) == 1:
-        return Counter((x,) for x in map(getter, rows))
-    return Counter(map(getter, rows))
+def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int] | None:
+    """The first tuple over ``cols`` not in exactly one row of ``grid``, with its
+    row count, or None.  The smallest base-v key is the lexicographically
+    smallest tuple, so this is the first offender in canonical scan order.
+    Callers first check that there are v^len(cols) rows, which bounds the keys.
+    """
+    dims = (v,) * len(cols)
+    counts = _tally(np.ravel_multi_index(grid[:, list(cols)].T, dims), v ** len(cols))
+    bad = np.flatnonzero(counts != 1)
+    if not bad.size:
+        return None
+    digits = np.unravel_index(bad[0], dims)
+    return tuple(int(d) for d in digits), int(counts[bad[0]])
+
+
+def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
+    """The row count, then for each (size, tail, kind) check the coverage of
+    every size-subset of the first k columns joined with the columns ``tail``,
+    subsets in ascending order; the first failure is the witness."""
+    if len(a.grid) != a.expected_rows:
+        return VerifyResult(False, Witness(
+            "row_count", count=len(a.grid), expected=a.expected_rows))
+    for size, tail, kind in checks:
+        for cols in itertools.combinations(range(a.k), size):
+            found = _coverage(a.grid, cols + tail, a.v)
+            if found:
+                return VerifyResult(False, Witness(kind, cols, *found))
+    return VerifyResult(True)
 
 
 def verify_oa(a: OrthogonalArray,
@@ -192,15 +217,7 @@ def verify_oa(a: OrthogonalArray,
     by tuple order, becomes the witness.
     """
     _check_caps(a.expected_rows * a.k, [math.comb(a.k, a.t)], max_cells, max_subsets)
-    if len(a.rows) != a.expected_rows:
-        return VerifyResult(False, Witness(
-            "row_count", count=len(a.rows), expected=a.expected_rows))
-    for cols in itertools.combinations(range(a.k), a.t):
-        counts = _projection_counts(a.rows, cols)
-        if len(counts) != a.expected_rows:
-            tup, c = _first_offender(counts, a.v, a.t)
-            return VerifyResult(False, Witness("column_subset", cols, tup, c))
-    return VerifyResult(True)
+    return _coverage_scan(a, [(a.t, (), "column_subset")])
 
 
 def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
@@ -211,12 +228,8 @@ def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
     """
     _check_caps(a.expected_rows * a.k, [], max_cells, DEFAULT_SUBSET_CAP)
     need = a.k - a.t + 1
-    n = len(a.rows)
-    if n < 2:
-        return True
-    grid = np.array(a.rows, dtype=np.int32)
-    for i in range(n - 1):
-        dist = (grid[i + 1:] != grid[i]).sum(axis=1)
+    for i in range(len(a.grid) - 1):
+        dist = (a.grid[i + 1:] != a.grid[i]).sum(axis=1)
         if int(dist.min()) < need:
             return False
     return True
@@ -230,39 +243,19 @@ def verify_aoa(a: AugmentedOA,
     (i) the k plain columns form an OA of strength t; (ii) every s-subset of
     plain columns, joined with the augmented column, contains each element of
     X^s x Y exactly once.  For s = 0, (ii) says the augmented column is a
-    bijection onto Y.
+    bijection onto Y.  Condition (ii) is strength-t coverage on the s plain
+    columns plus the t-s augmented digit columns, so both use one check.
     """
     _check_caps(a.expected_rows * (a.k + 1),
                 [math.comb(a.k, a.t), math.comb(a.k, a.s)],
                 max_cells, max_subsets)
-    if len(a.rows) != a.expected_rows:
-        return VerifyResult(False, Witness(
-            "row_count", count=len(a.rows), expected=a.expected_rows))
+    aug = tuple(range(a.k, a.k + a.aug_width))
+    return _coverage_scan(a, [(a.t, (), "column_subset"), (a.s, aug, "augmented_subset")])
 
-    plain = OrthogonalArray(a.t, a.k, a.v, [r[: a.k] for r in a.rows])
-    res = verify_oa(plain, max_cells, max_subsets)
+
+def _require(res: VerifyResult, kind: str) -> None:
     if not res.ok:
-        return res
-
-    width = a.s + a.aug_width  # == t
-    for cols in itertools.combinations(range(a.k), a.s):
-        counts = Counter(tuple(r[c] for c in cols) + r[a.k:] for r in a.rows)
-        if len(counts) != a.v**width:
-            tup, c = _first_offender(counts, a.v, width)
-            return VerifyResult(False, Witness("augmented_subset", cols, tup, c))
-    return VerifyResult(True)
-
-
-def _require_verified_oa(a: OrthogonalArray, max_cells: int) -> None:
-    res = verify_oa(a, max_cells)
-    if not res.ok:
-        raise ValueError(f"input fails OA verification: {res.witness.describe()}")
-
-
-def _require_verified_aoa(a: AugmentedOA, max_cells: int) -> None:
-    res = verify_aoa(a, max_cells)
-    if not res.ok:
-        raise ValueError(f"input fails AOA verification: {res.witness.describe()}")
+        raise ValueError(f"input fails {kind} verification: {res.witness.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +368,8 @@ def aoa_merge(a: OrthogonalArray, s: int, max_cells: int = DEFAULT_CELL_CAP) -> 
     if k < t:
         raise ValueError(
             f"merging {t - s} columns of a {a.k}-column array leaves k={k} < t={t}")
-    _require_verified_oa(a, max_cells)
-    return AugmentedOA(s, t, k, a.v, a.rows)
+    _require(verify_oa(a, max_cells), "OA")
+    return AugmentedOA._sharing(a.grid, s, t, k, a.v)
 
 
 @dataclass(frozen=True)
@@ -419,8 +412,7 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
     if factor_prime_power(a.v) is None:
         return None
     field = field_for_order(a.v)
-    grid = sorted({tuple(r[c] for c in cols) for r in a.rows})
-    x = kernel_vector(field, grid)
+    x = kernel_vector(field, np.unique(a.grid[:, cols], axis=0).tolist())
     if x is None:
         return None
     lead = max(i for i, xi in enumerate(x) if xi != 0)
@@ -439,8 +431,8 @@ def aoa_split(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
     OA(t, k+t-s, v), and when it is not, the witness subset is searched for a
     linear dependency among its columns as an explanation.
     """
-    _require_verified_aoa(a, max_cells)
-    wide = OrthogonalArray(a.t, a.k + a.aug_width, a.v, a.rows)
+    _require(verify_aoa(a, max_cells), "AOA")
+    wide = OrthogonalArray._sharing(a.grid, a.t, a.k + a.aug_width, a.v)
     res = verify_oa(wide, max_cells)
     dep = None
     if not res.ok and res.witness.kind == "column_subset":
@@ -549,7 +541,7 @@ class NonexistenceReport:
         a = self.aoa
         verdict = "VALID" if self.aoa_result.ok else "INVALID"
         out = [
-            f"AOA({a.s},{a.t},{a.k},{a.v}): {verdict} ({len(a.rows)} rows, exhaustive)",
+            f"AOA({a.s},{a.t},{a.k},{a.v}): {verdict} ({len(a.grid)} rows, exhaustive)",
             f"attempted OA columns k+t-s = {self.attempted_columns}",
             f"bush_bound(t={a.t}, v={a.v}) = {self.bound.max_k} "
             f"({self.bound.case_label}, {self.bound.status})",
@@ -615,10 +607,10 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
     """One-record-per-line text form; rows are already canonical."""
     if isinstance(a, OrthogonalArray):
         lines = [f"OA {a.t} {a.k} {a.v}"]
-        lines.extend(" ".join(map(str, r)) for r in a.rows)
+        lines.extend(" ".join(map(str, r)) for r in a.grid.tolist())
     else:
         lines = [f"AOA {a.s} {a.t} {a.k} {a.v}"]
-        for r in a.rows:
+        for r in a.grid.tolist():
             plain = " ".join(map(str, r[: a.k]))
             aug = ",".join(map(str, r[a.k:]))
             lines.append(f"{plain} {aug}")

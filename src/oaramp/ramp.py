@@ -1,4 +1,4 @@
-"""Ramp secret-sharing schemes as explicit distribution-rule tables.
+"""Ramp secret-sharing schemes as augmented orthogonal arrays plus rule weights.
 
 A scheme with thresholds 0 <= s < t <= n over a v-symbol share alphabet is a
 set of distinct rules, each assigning one share in [0, v-1] to every player
@@ -14,22 +14,29 @@ internally.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .designs import (
-    DEFAULT_CELL_CAP,
     AugmentedOA,
     SplitResult,
+    _canonical_grid,
+    _tally,
     aoa_split,
+    linear_aoa,
+    shamir_matrix,
     verify_aoa,
 )
 from .errors import CapExceeded, SchemeError
 from .gf import GF
+from .linalg import DEFAULT_CELL_CAP
 
 DEFAULT_AUDIT_WORK_CAP = 10**7
 
@@ -108,8 +115,8 @@ def parse_bundle(text: str) -> ShareBundle:
 class RampScheme:
     """An immutable distribution-rule table with per-rule selection weights.
 
-    Rules are kept in canonical order (ascending share vector, then secret),
-    matching the canonical row order of the equivalent augmented array.
+    The rules are the rows of ``aoa`` (k = n players) in canonical order:
+    ascending share vector, then secret.  ``weights[i]`` belongs to row i.
     """
 
     def __init__(self, s: int, t: int, n: int, v: int,
@@ -119,44 +126,46 @@ class RampScheme:
             raise SchemeError(f"need 0 <= s < t <= n, got s={s}, t={t}, n={n}")
         if v < 2:
             raise SchemeError(f"share alphabet must have >= 2 symbols, got {v}")
-        normalized = []
+        rows = []
         for r in rules:
             if not isinstance(r, Rule):
                 r = Rule(tuple(r[0]), tuple(r[1]))
             if len(r.shares) != n:
                 raise SchemeError(f"rule {r} does not assign shares to all {n} players")
-            if any(not 0 <= x < v for x in r.shares):
-                raise SchemeError(f"rule {r} has a share outside [0, {v - 1}]")
-            if len(r.secret) != t - s or any(not 0 <= x < v for x in r.secret):
+            if len(r.secret) != t - s:
                 raise SchemeError(
                     f"secret {r.secret} is not a ({t - s})-tuple over [0, {v - 1}]")
-            normalized.append(r)
-        if not normalized:
+            rows.append(r.shares + r.secret)
+        if not rows:
             raise SchemeError("a scheme needs at least one rule")
         if weights is None:
-            weights = [1] * len(normalized)
+            weights = [1] * len(rows)
         else:
             weights = list(weights)
-            if len(weights) != len(normalized):
+            if len(weights) != len(rows):
                 raise SchemeError("one weight per rule required")
             if any(w <= 0 for w in weights):
                 raise SchemeError("every rule weight must be positive")
-        order = sorted(range(len(normalized)),
-                       key=lambda i: normalized[i].shares + normalized[i].secret)
-        self.s = s
-        self.t = t
-        self.n = n
-        self.v = v
-        self.rules: tuple[Rule, ...] = tuple(normalized[i] for i in order)
-        self.weights: tuple[float, ...] = tuple(weights[i] for i in order)
-        share_vectors = {r.shares for r in self.rules}
-        if len(share_vectors) != len(self.rules):
+        try:
+            grid, order = _canonical_grid(rows, n + t - s, v)
+        except ValueError as exc:
+            raise SchemeError(f"rule table: {exc}") from None
+        if (grid[1:, :n] == grid[:-1, :n]).all(axis=1).any():
             raise SchemeError("distribution rules must be distinct share vectors")
-        by_secret: dict[tuple[int, ...], list[int]] = defaultdict(list)
-        for i, r in enumerate(self.rules):
-            by_secret[r.secret].append(i)
-        self._by_secret = {k: tuple(ix) for k, ix in by_secret.items()}
-        self.secrets: tuple[tuple[int, ...], ...] = tuple(sorted(self._by_secret))
+        self._adopt(AugmentedOA._sharing(grid, s, t, n, v),
+                    [weights[i] for i in order.tolist()])
+
+    def _adopt(self, aoa: AugmentedOA, weights: Sequence[float]) -> None:
+        self.s, self.t, self.n, self.v = aoa.s, aoa.t, aoa.k, aoa.v
+        self.aoa = aoa
+        self.weights: tuple[float, ...] = tuple(weights)
+        # _sid[i] is row i's index into the sorted tuple of distinct secrets
+        secrets, self._sid = np.unique(aoa.grid[:, aoa.k:], axis=0, return_inverse=True)
+        self.secrets: tuple[tuple[int, ...], ...] = tuple(map(tuple, secrets.tolist()))
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        return self._rules(self.aoa.grid)
 
     @property
     def is_ideal(self) -> bool:
@@ -167,19 +176,33 @@ class RampScheme:
         return len(set(self.weights)) == 1
 
     def rules_for(self, secret: tuple[int, ...]) -> tuple[Rule, ...]:
-        if secret not in self._by_secret:
-            raise ValueError(f"unknown secret {secret}")
-        return tuple(self.rules[i] for i in self._by_secret[secret])
+        return self._rules(self.aoa.grid[self._rows_of(secret)])
+
+    def _rows_of(self, secret: Sequence[int]) -> list[int]:
+        key = tuple(secret)
+        i = bisect.bisect_left(self.secrets, key)
+        if i == len(self.secrets) or self.secrets[i] != key:
+            raise ValueError(f"unknown secret {key}")
+        return np.flatnonzero(self._sid == i).tolist()
+
+    def _rules(self, grid: np.ndarray) -> tuple[Rule, ...]:
+        n = self.n
+        return tuple(Rule(tuple(r[:n]), tuple(r[n:])) for r in grid.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RampScheme):
             return NotImplemented
-        return (self.s, self.t, self.n, self.v, self.rules, self.weights) == (
-            other.s, other.t, other.n, other.v, other.rules, other.weights)
+        return self.aoa == other.aoa and self.weights == other.weights
 
     def __repr__(self) -> str:
         return (f"RampScheme(s={self.s}, t={self.t}, n={self.n}, v={self.v}, "
-                f"{len(self.rules)} rules, {len(self.secrets)} secrets)")
+                f"{len(self.weights)} rules, {len(self.secrets)} secrets)")
+
+
+def _distinct(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """For each group id 0..max(group), how many distinct values it holds."""
+    m = int(value.max()) + 1
+    return _tally(np.unique(group * m + value) // m, int(group.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +221,29 @@ def scheme_from_aoa(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> RampSc
     res = verify_aoa(a, max_cells)
     if not res.ok:
         raise SchemeError(f"array fails verification: {res.witness.describe()}")
-    rules = [Rule(a.plain(r), a.augmented(r)) for r in a.rows]
-    return RampScheme(a.s, a.t, a.k, a.v, rules)
+    sch = RampScheme.__new__(RampScheme)
+    sch._adopt(a, [1] * len(a.grid))
+    return sch
 
 
 def aoa_from_scheme(sch: RampScheme, max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
-    """Write the rules out as rows (shares, then secret tuple) and verify.
+    """The scheme's rule array (rows: shares, then secret tuple), once verified.
 
     Requires an ideal scheme with the full complement of v^t rules; the
     verified result is the combinatorial equivalent of the scheme.
     """
     expected = sch.v**sch.t
-    if len(sch.rules) != expected:
-        raise SchemeError(f"expected {expected} rules, scheme has {len(sch.rules)}")
+    if len(sch.weights) != expected:
+        raise SchemeError(f"expected {expected} rules, scheme has {len(sch.weights)}")
     if not sch.is_ideal:
         raise SchemeError(
             f"scheme is not ideal: {len(sch.secrets)} secrets, "
             f"need {sch.v ** (sch.t - sch.s)}")
-    rows = [r.shares + r.secret for r in sch.rules]
-    aoa = AugmentedOA(sch.s, sch.t, sch.n, sch.v, rows)
-    res = verify_aoa(aoa, max_cells)
+    res = verify_aoa(sch.aoa, max_cells)
     if not res.ok:
         raise SchemeError(
             f"rule table is not a valid ramp scheme: {res.witness.describe()}")
-    return aoa
+    return sch.aoa
 
 
 def scheme_shamir(field: GF, s: int, t: int, n: int) -> RampScheme:
@@ -231,25 +253,15 @@ def scheme_shamir(field: GF, s: int, t: int, n: int) -> RampScheme:
     polynomial sum(a_i * x_j^i) evaluated at the j-th nonzero field element
     (ascending encoding order), and the secret is (a_0, ..., a_{t-s-1}).
     With s = t-1 this is the classical threshold scheme: the secret is the
-    constant term.
+    constant term.  The rules are the rows of the row space of
+    ``shamir_matrix(field, s, t, n)``.
     """
     q = field.q
     if not 1 <= s < t <= n:
         raise SchemeError(f"need 1 <= s < t <= n, got s={s}, t={t}, n={n}")
     if q < n + 1:
         raise SchemeError(f"need q >= n+1 distinct evaluation points, got q={q}, n={n}")
-    add, mul = field.add, field.mul
-    points = list(range(1, n + 1))
-    rules = []
-    for coeffs in itertools.product(range(q), repeat=t):
-        shares = []
-        for x in points:
-            acc = 0
-            for c in reversed(coeffs):  # Horner
-                acc = add(mul(acc, x), c)
-            shares.append(acc)
-        rules.append(Rule(tuple(shares), coeffs[: t - s]))
-    return RampScheme(s, t, n, q, rules)
+    return scheme_from_aoa(linear_aoa(shamir_matrix(field, s, t, n), s, t, n))
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +275,15 @@ def deal(sch: RampScheme, secret: Sequence[int], seed: int) -> ShareBundle:
     seed always picks the same rule; reproducibility is the point here, not
     entropy quality.
     """
-    key = tuple(secret)
-    if key not in sch._by_secret:
-        raise ValueError(f"unknown secret {key}")
-    indices = sch._by_secret[key]
+    indices = sch._rows_of(secret)
     rng = random.Random(seed)
     if len(indices) == 1:
         chosen = indices[0]
     else:
         weights = [sch.weights[i] for i in indices]
         chosen = rng.choices(indices, weights=weights, k=1)[0]
-    rule = sch.rules[chosen]
-    return ShareBundle({j + 1: x for j, x in enumerate(rule.shares)})
+    shares = sch.aoa.grid[chosen, :sch.n].tolist()
+    return ShareBundle({j + 1: x for j, x in enumerate(shares)})
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,7 @@ class ReconstructionResult:
 
 
 def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
-    """Filter the rules consistent with the bundle and read off the secret.
+    """Select the rules consistent with the bundle and read off the secret.
 
     At least t shares are required.  No consistent rule means the bundle is
     inconsistent with the scheme; more than one consistent secret cannot
@@ -297,19 +306,18 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     """
     if len(shares) < sch.t:
         raise ValueError(f"need at least t={sch.t} shares, got {len(shares)}")
-    pairs = shares.items()
-    for p, _ in pairs:
+    match = np.ones(len(sch.weights), dtype=bool)
+    for p, x in shares.items():
         if p > sch.n:
             raise ValueError(f"player index {p} exceeds n={sch.n}")
-    found: set[tuple[int, ...]] = set()
-    for rule in sch.rules:
-        if all(rule.shares[p - 1] == x for p, x in pairs):
-            found.add(rule.secret)
+        match &= sch.aoa.grid[:, p - 1] == x
+    found = np.flatnonzero(_tally(sch._sid[match], len(sch.secrets))).tolist()
     if not found:
         return ReconstructionResult("no_matching_rule")
     if len(found) > 1:
-        return ReconstructionResult("ambiguous", candidates=tuple(sorted(found)))
-    return ReconstructionResult("ok", secret=next(iter(found)))
+        return ReconstructionResult(
+            "ambiguous", candidates=tuple(sch.secrets[i] for i in found))
+    return ReconstructionResult("ok", secret=sch.secrets[found[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +356,24 @@ def audit_security(sch: RampScheme,
     """Exhaustive information-theoretic audit of the scheme's rule table.
 
     For every player subset of size <= s and every achievable share
-    projection, counts consistent rule weight per secret.  Weak security
-    needs every secret represented; perfect security (checked for ideal
-    uniform-weight schemes, i.e. under the uniform secret prior) needs the
-    weights exactly equal.  For ideal schemes it additionally checks, for
-    each size-s subset, each projection, and each disjoint (t-s)-subset,
-    that secrets map one-to-one onto the projections of the consistent rules
-    there -- the structural fact that makes reconstruction well defined.
+    projection, counts consistent rules per secret (failures report their
+    summed weights).  Weak security needs every secret represented; perfect
+    security (checked for ideal uniform-weight schemes, i.e. under the
+    uniform secret prior) needs equal counts.  For ideal schemes it also
+    checks, for each size-s subset, each projection, and each disjoint
+    (t-s)-subset, that secrets map one-to-one onto the projections of the
+    consistent rules there -- the fact that makes reconstruction well defined.
     """
     n, s, t = sch.n, sch.s, sch.t
-    n_rules = len(sch.rules)
     base_subsets = sum(math.comb(n, i) for i in range(s + 1))
     bijection_subsets = math.comb(n, s) * math.comb(n - s, t - s) if sch.is_ideal else 0
-    work = n_rules * (base_subsets + bijection_subsets)
+    work = len(sch.weights) * (base_subsets + bijection_subsets)
     if work > max_work:
         raise CapExceeded(f"audit needs ~{work} rule visits, cap is {max_work}")
 
+    grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
+    ranks = functools.cache(  # a column subset's distinct projections, each row's rank
+        lambda cols: np.unique(grid[:, list(cols)], axis=0, return_inverse=True))
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
     weak_ok = True
@@ -373,59 +383,55 @@ def audit_security(sch: RampScheme,
     for size in range(s + 1):
         for subset in itertools.combinations(range(n), size):
             players = tuple(p + 1 for p in subset)
-            by_proj: dict[tuple[int, ...], dict[tuple[int, ...], float]] = defaultdict(dict)
-            for rule, w in zip(sch.rules, sch.weights):
-                proj = tuple(rule.shares[p] for p in subset)
-                per_secret = by_proj[proj]
-                per_secret[rule.secret] = per_secret.get(rule.secret, 0) + w
-            for proj in sorted(by_proj):
-                groups += 1
-                per_secret = by_proj[proj]
-                counts = tuple((k, per_secret.get(k, 0)) for k in sch.secrets)
-                missing = [k for k, w in counts if w == 0]
-                if missing:
+            projs, proj = ranks(subset)
+            pair = np.unique(proj * n_secrets + sid, return_inverse=True)[1]
+            hits = _tally(pair, len(grid))[pair]  # rules sharing each row's (proj, secret)
+            weak = _distinct(proj, sid) < n_secrets
+            uneven = _distinct(proj, hits) > 1
+            groups += len(projs)
+            for g in np.flatnonzero(weak | (check_perfect & uneven)).tolist():
+                projection = tuple(projs[g].tolist())
+                totals = [0] * n_secrets  # summed in canonical row order
+                for i in np.flatnonzero(proj == g).tolist():
+                    totals[sid[i]] += sch.weights[i]
+                counts = tuple(zip(sch.secrets, totals))
+                if weak[g]:
                     weak_ok = False
-                    failures.append(AuditFailure(
-                        "weak", players, proj,
-                        f"secret {missing[0]} has no consistent rule", counts))
-                elif check_perfect and len({w for _, w in counts}) != 1:
+                    check = "weak"
+                    detail = f"secret {sch.secrets[totals.index(0)]} has no consistent rule"
+                else:
                     perfect_ok = False
-                    failures.append(AuditFailure(
-                        "perfect", players, proj,
-                        "consistent-rule weights differ between secrets", counts))
+                    check, detail = "perfect", "consistent-rule weights differ between secrets"
+                failures.append(AuditFailure(check, players, projection, detail, counts))
 
     bijection_ok: bool | None = None
     if sch.is_ideal:
         bijection_ok = True
-        others = set(range(n))
         for subset in itertools.combinations(range(n), s):
             players = tuple(p + 1 for p in subset)
-            rest = sorted(others - set(subset))
+            proj0s, proj0 = ranks(subset)
+            key = np.unique(proj0 * n_secrets + sid, return_inverse=True)[1]
+            seen = _distinct(proj0, sid)
+            rest = [p for p in range(n) if p not in subset]
             for p1 in itertools.combinations(rest, t - s):
-                view: dict[tuple[int, ...], dict[tuple[int, ...], set]] = defaultdict(
-                    lambda: defaultdict(set))
-                for rule in sch.rules:
-                    proj0 = tuple(rule.shares[p] for p in subset)
-                    proj1 = tuple(rule.shares[p] for p in p1)
-                    view[proj0][rule.secret].add(proj1)
-                for proj0 in sorted(view):
-                    groups += 1
-                    images = view[proj0]
-                    bad = next((k for k in sorted(images) if len(images[k]) != 1), None)
-                    if bad is not None:
-                        bijection_ok = False
-                        failures.append(AuditFailure(
-                            "bijection", players, proj0,
-                            f"secret {bad} projects onto {tuple(p + 1 for p in p1)} "
-                            f"in {len(images[bad])} different ways"))
-                        continue
-                    flat = sorted(next(iter(v)) for v in images.values())
-                    if len(set(flat)) != len(flat) or len(flat) != len(sch.secrets):
-                        bijection_ok = False
-                        failures.append(AuditFailure(
-                            "bijection", players, proj0,
-                            f"secret-to-projection map onto {tuple(p + 1 for p in p1)} "
-                            f"is not one-to-one"))
+                other = tuple(p + 1 for p in p1)
+                proj1 = ranks(p1)[1]
+                ways = _distinct(key, proj1)[key]  # proj1 images of each row's (proj0, secret)
+                split = ways > 1
+                bad = (seen != n_secrets) | (_distinct(proj0, proj1) != n_secrets)
+                bad[proj0[split]] = True
+                groups += len(proj0s)
+                for g in np.flatnonzero(bad).tolist():
+                    bijection_ok = False
+                    rows = np.flatnonzero((proj0 == g) & split)
+                    if rows.size:
+                        r = rows[np.argmin(sid[rows])]
+                        detail = (f"secret {sch.secrets[sid[r]]} projects onto {other} "
+                                  f"in {ways[r]} different ways")
+                    else:
+                        detail = f"secret-to-projection map onto {other} is not one-to-one"
+                    projection = tuple(proj0s[g].tolist())
+                    failures.append(AuditFailure("bijection", players, projection, detail))
 
     ok = weak_ok and (perfect_ok is not False) and (bijection_ok is not False)
     return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,

@@ -1,0 +1,239 @@
+"""Reference implementations of every counting path, kept as differential
+oracles for the grid-based code in ``oaramp``.
+
+Each function is the earlier pure-Python version, unchanged in logic: dict
+and ``Counter`` counting over row tuples, the ``itertools.product`` scan for
+the first offending tuple, the two grouping loops of the security audit,
+the reconstruction scan over every rule and the rule pick of dealing.  They read arrays only through
+``.rows`` and schemes only through ``.rules``, ``.weights`` and
+``.secrets``, and return the library's own result types, so a test can
+require equal results field by field.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from collections import Counter, defaultdict
+from operator import itemgetter
+
+from oaramp.designs import (
+    DEFAULT_SUBSET_CAP,
+    AugmentedOA,
+    ColumnDependency,
+    OrthogonalArray,
+    SplitResult,
+    VerifyResult,
+    Witness,
+    _check_caps,
+)
+from oaramp.errors import CapExceeded
+from oaramp.gf import factor_prime_power, field_for_order
+from oaramp.linalg import DEFAULT_CELL_CAP, kernel_vector
+from oaramp.ramp import (
+    DEFAULT_AUDIT_WORK_CAP,
+    AuditFailure,
+    AuditReport,
+    RampScheme,
+    ReconstructionResult,
+    ShareBundle,
+)
+
+
+def _first_offender(counts: Counter, v: int, width: int) -> tuple[tuple[int, ...], int]:
+    """Lexicographically smallest tuple whose multiplicity differs from 1."""
+    for tup in itertools.product(range(v), repeat=width):
+        c = counts.get(tup, 0)
+        if c != 1:
+            return tup, c
+    raise AssertionError("no offender found in a failing subset")
+
+
+def _projection_counts(rows, cols: tuple[int, ...]) -> Counter:
+    getter = itemgetter(*cols)
+    if len(cols) == 1:
+        return Counter((x,) for x in map(getter, rows))
+    return Counter(map(getter, rows))
+
+
+def verify_oa(a: OrthogonalArray,
+              max_cells: int = DEFAULT_CELL_CAP,
+              max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
+    _check_caps(a.expected_rows * a.k, [math.comb(a.k, a.t)], max_cells, max_subsets)
+    rows = a.rows
+    if len(rows) != a.expected_rows:
+        return VerifyResult(False, Witness(
+            "row_count", count=len(rows), expected=a.expected_rows))
+    for cols in itertools.combinations(range(a.k), a.t):
+        counts = _projection_counts(rows, cols)
+        if len(counts) != a.expected_rows:
+            tup, c = _first_offender(counts, a.v, a.t)
+            return VerifyResult(False, Witness("column_subset", cols, tup, c))
+    return VerifyResult(True)
+
+
+def verify_aoa(a: AugmentedOA,
+               max_cells: int = DEFAULT_CELL_CAP,
+               max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
+    _check_caps(a.expected_rows * (a.k + 1),
+                [math.comb(a.k, a.t), math.comb(a.k, a.s)],
+                max_cells, max_subsets)
+    rows = a.rows
+    if len(rows) != a.expected_rows:
+        return VerifyResult(False, Witness(
+            "row_count", count=len(rows), expected=a.expected_rows))
+
+    plain = OrthogonalArray(a.t, a.k, a.v, [r[: a.k] for r in rows])
+    res = verify_oa(plain, max_cells, max_subsets)
+    if not res.ok:
+        return res
+
+    width = a.s + a.aug_width  # == t
+    for cols in itertools.combinations(range(a.k), a.s):
+        counts = Counter(tuple(r[c] for c in cols) + r[a.k:] for r in rows)
+        if len(counts) != a.v**width:
+            tup, c = _first_offender(counts, a.v, width)
+            return VerifyResult(False, Witness("augmented_subset", cols, tup, c))
+    return VerifyResult(True)
+
+
+def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDependency | None:
+    if factor_prime_power(a.v) is None:
+        return None
+    field = field_for_order(a.v)
+    grid = sorted({tuple(r[c] for c in cols) for r in a.rows})
+    x = kernel_vector(field, grid)
+    if x is None:
+        return None
+    lead = max(i for i, xi in enumerate(x) if xi != 0)
+    scale = field.inv(x[lead])
+    combo = tuple(
+        (cols[i], field.neg(field.mul(scale, x[i])))
+        for i in range(lead) if x[i] != 0)
+    return ColumnDependency(cols[lead], combo, a.v)
+
+
+def aoa_split(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
+    res = verify_aoa(a, max_cells)
+    if not res.ok:
+        raise ValueError(f"input fails AOA verification: {res.witness.describe()}")
+    wide = OrthogonalArray(a.t, a.k + a.aug_width, a.v, a.rows)
+    res = verify_oa(wide, max_cells)
+    dep = None
+    if not res.ok and res.witness.kind == "column_subset":
+        dep = _column_dependency(wide, res.witness.columns)
+    return SplitResult(wide, res, dep)
+
+
+def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
+    if len(shares) < sch.t:
+        raise ValueError(f"need at least t={sch.t} shares, got {len(shares)}")
+    pairs = shares.items()
+    for p, _ in pairs:
+        if p > sch.n:
+            raise ValueError(f"player index {p} exceeds n={sch.n}")
+    found: set[tuple[int, ...]] = set()
+    for rule in sch.rules:
+        if all(rule.shares[p - 1] == x for p, x in pairs):
+            found.add(rule.secret)
+    if not found:
+        return ReconstructionResult("no_matching_rule")
+    if len(found) > 1:
+        return ReconstructionResult("ambiguous", candidates=tuple(sorted(found)))
+    return ReconstructionResult("ok", secret=next(iter(found)))
+
+
+def audit_security(sch: RampScheme,
+                   max_work: int = DEFAULT_AUDIT_WORK_CAP) -> AuditReport:
+    n, s, t = sch.n, sch.s, sch.t
+    rules = sch.rules
+    n_rules = len(rules)
+    base_subsets = sum(math.comb(n, i) for i in range(s + 1))
+    bijection_subsets = math.comb(n, s) * math.comb(n - s, t - s) if sch.is_ideal else 0
+    work = n_rules * (base_subsets + bijection_subsets)
+    if work > max_work:
+        raise CapExceeded(f"audit needs ~{work} rule visits, cap is {max_work}")
+
+    check_perfect = sch.is_ideal and sch.has_uniform_weights
+    failures: list[AuditFailure] = []
+    weak_ok = True
+    perfect_ok: bool | None = True if check_perfect else None
+    groups = 0
+
+    for size in range(s + 1):
+        for subset in itertools.combinations(range(n), size):
+            players = tuple(p + 1 for p in subset)
+            by_proj: dict[tuple[int, ...], dict[tuple[int, ...], float]] = defaultdict(dict)
+            for rule, w in zip(rules, sch.weights):
+                proj = tuple(rule.shares[p] for p in subset)
+                per_secret = by_proj[proj]
+                per_secret[rule.secret] = per_secret.get(rule.secret, 0) + w
+            for proj in sorted(by_proj):
+                groups += 1
+                per_secret = by_proj[proj]
+                counts = tuple((k, per_secret.get(k, 0)) for k in sch.secrets)
+                missing = [k for k, w in counts if w == 0]
+                if missing:
+                    weak_ok = False
+                    failures.append(AuditFailure(
+                        "weak", players, proj,
+                        f"secret {missing[0]} has no consistent rule", counts))
+                elif check_perfect and len({w for _, w in counts}) != 1:
+                    perfect_ok = False
+                    failures.append(AuditFailure(
+                        "perfect", players, proj,
+                        "consistent-rule weights differ between secrets", counts))
+
+    bijection_ok: bool | None = None
+    if sch.is_ideal:
+        bijection_ok = True
+        others = set(range(n))
+        for subset in itertools.combinations(range(n), s):
+            players = tuple(p + 1 for p in subset)
+            rest = sorted(others - set(subset))
+            for p1 in itertools.combinations(rest, t - s):
+                view: dict[tuple[int, ...], dict[tuple[int, ...], set]] = defaultdict(
+                    lambda: defaultdict(set))
+                for rule in rules:
+                    proj0 = tuple(rule.shares[p] for p in subset)
+                    proj1 = tuple(rule.shares[p] for p in p1)
+                    view[proj0][rule.secret].add(proj1)
+                for proj0 in sorted(view):
+                    groups += 1
+                    images = view[proj0]
+                    bad = next((k for k in sorted(images) if len(images[k]) != 1), None)
+                    if bad is not None:
+                        bijection_ok = False
+                        failures.append(AuditFailure(
+                            "bijection", players, proj0,
+                            f"secret {bad} projects onto {tuple(p + 1 for p in p1)} "
+                            f"in {len(images[bad])} different ways"))
+                        continue
+                    flat = sorted(next(iter(v)) for v in images.values())
+                    if len(set(flat)) != len(flat) or len(flat) != len(sch.secrets):
+                        bijection_ok = False
+                        failures.append(AuditFailure(
+                            "bijection", players, proj0,
+                            f"secret-to-projection map onto {tuple(p + 1 for p in p1)} "
+                            f"is not one-to-one"))
+
+    ok = weak_ok and (perfect_ok is not False) and (bijection_ok is not False)
+    return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
+                       subsets_checked=base_subsets + bijection_subsets,
+                       groups_checked=groups, failures=tuple(failures))
+
+
+def deal(sch: RampScheme, secret, seed: int) -> ShareBundle:
+    key = tuple(secret)
+    rules = sch.rules
+    indices = [i for i, r in enumerate(rules) if r.secret == key]
+    if not indices:
+        raise ValueError(f"unknown secret {key}")
+    rng = random.Random(seed)
+    if len(indices) == 1:
+        chosen = indices[0]
+    else:
+        weights = [sch.weights[i] for i in indices]
+        chosen = rng.choices(indices, weights=weights, k=1)[0]
+    return ShareBundle({j + 1: x for j, x in enumerate(rules[chosen].shares)})

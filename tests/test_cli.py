@@ -165,3 +165,30 @@ def test_max_cells_is_downward_only():
     assert code == 2  # cap hit -> parameter error
     code, _ = run(["--max-cells", "999999999999", "construct", "oa-rs", "--q", "3", "--t", "2"])
     assert code == 0  # clamped to the default, not raised
+
+
+def test_max_cells_lowers_the_audit_cap(capsys):
+    _, aoa_text = run(["construct", "aoa-shamir", "--q", "8", "--s", "2", "--t", "3",
+                       "--k", "4"])
+    code, report = run(["ramp", "audit"], aoa_text)
+    assert code == 0 and report.splitlines()[0] == "audit: PASS"
+    capsys.readouterr()
+    code, report = run(["--max-cells", "5000", "ramp", "audit"], aoa_text)
+    assert code == 2 and report == ""
+    assert "audit needs ~11776 rule visits, cap is 5000" in capsys.readouterr().err
+
+
+HUGE = 10**20
+HUGE_ARRAYS = [
+    f"OA 1 1 {HUGE}\n{HUGE - 1}\n",
+    f"AOA 0 1 1 {HUGE}\n{HUGE - 1} {HUGE - 1}\n",
+]
+
+
+@pytest.mark.parametrize("text", HUGE_ARRAYS)
+@pytest.mark.parametrize("argv", [["verify"], ["split"], ["ramp", "audit"]])
+def test_huge_alphabet_exits_2_without_traceback(argv, text, capsys):
+    code, out = run(argv, text)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

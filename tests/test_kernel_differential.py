@@ -1,0 +1,294 @@
+"""Differential tests: the grid-based verifiers, split, audit, reconstruction
+and dealing against the pure-Python reference versions in ``oracles``.
+
+Inputs cover alphabets 2..6 (6 is not a prime power): random candidates with
+wrong row counts, one-cell corruptions of constructed arrays, swapped
+augmented tuples, non-ideal, short and weighted rule tables, and bundles
+that are valid, inconsistent or ambiguous.  Every result must be equal to
+the oracle's, field by field.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oaramp.designs import (
+    AugmentedOA,
+    OrthogonalArray,
+    aoa_merge,
+    aoa_split,
+    linear_aoa,
+    oa_from_generator,
+    rs_generator,
+    shamir_matrix,
+    verify_aoa,
+    verify_oa,
+)
+from oaramp.gf import field_for_order
+from oaramp.ramp import (
+    RampScheme,
+    ShareBundle,
+    audit_security,
+    deal,
+    reconstruct,
+    scheme_from_aoa,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+PRIME_POWERS = (2, 3, 4, 5)
+
+
+def zero_sum_oa(t, v):
+    """OA(t, t+1, v) for any v: every t-tuple, then minus its sum mod v."""
+    rows = [x + ((-sum(x)) % v,) for x in itertools.product(range(v), repeat=t)]
+    return OrthogonalArray(t, t + 1, v, rows)
+
+
+@st.composite
+def constructed_oa(draw, v=None):
+    """A verified OA: the zero-sum array for any v, or a Reed-Solomon array."""
+    if v is None:
+        v = draw(st.integers(2, 6))
+    if v in PRIME_POWERS and draw(st.booleans()):
+        t = draw(st.integers(2, min(v, 3)))
+        return oa_from_generator(rs_generator(field_for_order(v), t), t)
+    return zero_sum_oa(draw(st.integers(1, 3 if v <= 4 else 2)), v)
+
+
+@st.composite
+def constructed_aoa(draw):
+    """A verified AOA: a merge of a constructed OA, or a Shamir array."""
+    v = draw(st.integers(2, 6))
+    if v in (3, 4, 5) and draw(st.booleans()):
+        t = draw(st.integers(2, 3))
+        s = draw(st.integers(1, t - 1))
+        k = draw(st.integers(t, v))
+        return linear_aoa(shamir_matrix(field_for_order(v), s, t, k), s, t, k)
+    oa = draw(constructed_oa(v))
+    s = draw(st.integers(max(0, 2 * oa.t - oa.k), oa.t - 1))
+    return aoa_merge(oa, s)
+
+
+def rows_of(a):
+    return [list(r) for r in a.rows]
+
+
+def corrupt_cell(draw, a):
+    rows = rows_of(a)
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] = (rows[i][j] + draw(st.integers(1, a.v - 1))) % a.v
+    return rows
+
+
+def same_aoa(a, rows):
+    return AugmentedOA(a.s, a.t, a.k, a.v, rows)
+
+
+def plain(obj):
+    """``obj`` after checking that no numpy scalar hides inside it: a numpy int
+    equals a Python int but prints as ``np.int64(3)``, which would change the
+    CLI's output."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            plain(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            plain(x)
+    else:
+        assert not isinstance(obj, np.generic), f"numpy scalar {obj!r}"
+    return obj
+
+
+def check_oa(a):
+    assert plain(verify_oa(a)) == oracles.verify_oa(a)
+    plain(a.rows)
+
+
+def check_aoa(a):
+    assert plain(verify_aoa(a)) == oracles.verify_aoa(a)
+    try:
+        expected = oracles.aoa_split(a)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="fails AOA verification") as got:
+            aoa_split(a)
+        assert str(got.value) == str(exc)
+        return
+    got = aoa_split(a)
+    assert got == expected
+    plain((got.result, got.dependency, got.array.rows))
+
+
+# --- verify_oa / verify_aoa / aoa_split ----------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_random_oa_candidates(data):
+    v = data.draw(st.integers(2, 6))
+    t = data.draw(st.integers(1, 3 if v <= 4 else 2))
+    k = data.draw(st.integers(t, 4))
+    n_rows = data.draw(st.sampled_from([v**t - 1, v**t, v**t, v**t + 1]))
+    row = st.lists(st.integers(0, v - 1), min_size=k, max_size=k)
+    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    check_oa(OrthogonalArray(t, k, v, rows))
+
+
+@SETTINGS
+@given(st.data())
+def test_random_aoa_candidates(data):
+    v = data.draw(st.integers(2, 6))
+    t = data.draw(st.integers(1, 3 if v <= 4 else 2))
+    s = data.draw(st.integers(0, t - 1))
+    k = data.draw(st.integers(t, 4))
+    n_rows = data.draw(st.sampled_from([v**t - 1, v**t, v**t, v**t + 1]))
+    row = st.lists(st.integers(0, v - 1), min_size=k + t - s, max_size=k + t - s)
+    rows = data.draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    check_aoa(AugmentedOA(s, t, k, v, rows))
+
+
+@SETTINGS
+@given(st.data())
+def test_one_cell_corruptions_of_constructed_oas(data):
+    a = data.draw(constructed_oa())
+    check_oa(a)
+    check_oa(OrthogonalArray(a.t, a.k, a.v, corrupt_cell(data.draw, a)))
+
+
+@SETTINGS
+@given(st.data())
+def test_one_cell_corruptions_of_constructed_aoas(data):
+    a = data.draw(constructed_aoa())
+    check_aoa(a)
+    check_aoa(same_aoa(a, corrupt_cell(data.draw, a)))
+
+
+@SETTINGS
+@given(st.data())
+def test_swapped_augmented_tuples(data):
+    a = data.draw(constructed_aoa())
+    rows = rows_of(a)
+    i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                              unique=True))
+    rows[i][a.k:], rows[j][a.k:] = rows[j][a.k:], rows[i][a.k:]
+    check_aoa(same_aoa(a, rows))
+
+
+# --- schemes: audit, reconstruct, deal -------------------------------------------
+
+
+def small_aoa():
+    """Constructed AOAs whose audits stay cheap for the oracle."""
+    return constructed_aoa().filter(lambda a: a.v**a.t <= 125 and a.k <= 5)
+
+
+CHANGES = ("as-is", "non-ideal", "one-secret", "one-share", "permuted")
+
+
+@st.composite
+def rule_tables(draw, changes=CHANGES, vary=True):
+    """A scheme from a constructed AOA, with one of ``changes`` applied: made
+    non-ideal, corrupted in one secret or one share, or given permuted
+    secrets.  With ``vary`` it may also be made short and given small
+    positive integer weights."""
+    a = draw(small_aoa())
+    rows = rows_of(a)
+    if vary and draw(st.booleans()):  # short: drop some rules
+        keep = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True))
+        rows = [rows[i] for i in sorted(keep)]
+    kind = draw(st.sampled_from(changes))
+    if kind == "non-ideal":  # fold the first secret digit onto fewer values
+        for r in rows:
+            r[a.k] = r[a.k] % max(1, a.v - 1)
+    elif kind == "one-secret":
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(a.k, len(rows[i]) - 1))
+        rows[i][j] = (rows[i][j] + 1) % a.v
+    elif kind == "one-share":  # to a value that keeps the share vectors distinct
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, a.k - 1))
+        taken = {tuple(r[:a.k]) for r in rows}
+        free = [x for x in range(a.v)
+                if tuple(rows[i][:j] + [x] + rows[i][j + 1:a.k]) not in taken]
+        if free:
+            rows[i][j] = draw(st.sampled_from(free))
+    elif kind == "permuted":
+        secrets = draw(st.permutations([r[a.k:] for r in rows]))
+        rows = [r[:a.k] + sec for r, sec in zip(rows, secrets)]
+    rules = [(r[:a.k], r[a.k:]) for r in rows]
+    weights = None
+    if vary and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(rules), max_size=len(rules)))
+    return RampScheme(a.s, a.t, a.k, a.v, rules, weights)
+
+
+@st.composite
+def random_rule_tables(draw):
+    """Distinct random share vectors with random secrets and weights."""
+    v = draw(st.integers(2, 6))
+    t = draw(st.integers(1, 3))
+    s = draw(st.integers(0, t - 1))
+    n = draw(st.integers(t, 4))
+    share = st.tuples(*[st.integers(0, v - 1)] * n)
+    shares = draw(st.lists(share, min_size=1, max_size=40, unique=True))
+    secret = st.tuples(*[st.integers(0, v - 1)] * (t - s))
+    rules = [(sh, draw(secret)) for sh in shares]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rules), max_size=len(rules)))
+    return RampScheme(s, t, n, v, rules, weights)
+
+
+schemes = st.one_of(small_aoa().map(scheme_from_aoa), rule_tables(), random_rule_tables())
+
+
+@settings(SETTINGS, max_examples=150)
+@given(schemes)
+def test_audit_matches_oracle(sch):
+    assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(rule_tables(changes=("one-secret", "one-share", "permuted"), vary=False))
+def test_audit_of_corrupted_uniform_schemes_matches_oracle(sch):
+    """Full tables with uniform weights: every perfect and bijection check runs."""
+    assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(schemes, st.data())
+def test_reconstruct_matches_oracle(sch, data):
+    rules = sch.rules
+    players = data.draw(st.lists(st.integers(1, sch.n), min_size=sch.t, unique=True))
+    base = data.draw(st.sampled_from(rules)).shares
+    values = [base[p - 1] for p in players]
+    kind = data.draw(st.sampled_from(["valid", "shifted", "random", "out-of-range"]))
+    if kind == "shifted":  # usually inconsistent
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = (values[i] + 1) % sch.v
+    elif kind == "random":
+        values = [data.draw(st.integers(0, sch.v - 1)) for _ in players]
+    elif kind == "out-of-range":
+        values[0] = data.draw(st.sampled_from([-1, sch.v, 10**20]))
+    bundle = ShareBundle(dict(zip(players, values)))
+    assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
+
+
+@SETTINGS
+@given(schemes, st.integers(0, 2**32))
+def test_deal_matches_oracle(sch, seed):
+    plain((sch.secrets, sch.rules))
+    for secret in sch.secrets:
+        assert plain(deal(sch, secret, seed).items()) == oracles.deal(sch, secret, seed).items()
+
+
+def test_reconstruct_reports_every_ambiguous_candidate():
+    rules = [((0, 0, x), (x % 3,)) for x in range(3)] + [((1, 1, 1), (0,))]
+    sch = RampScheme(1, 2, 3, 3, rules)
+    bundle = ShareBundle({1: 0, 2: 0})
+    got = reconstruct(sch, bundle)
+    assert got == oracles.reconstruct(sch, bundle)
+    assert got.status == "ambiguous" and got.candidates == ((0,), (1,), (2,))
