@@ -9,6 +9,7 @@ violation (witness on stdout), 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TextIO
 
@@ -18,7 +19,9 @@ from .gf import GF, field_for_order
 from .linalg import DEFAULT_CELL_CAP
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="oaramp",
         description="Construct, verify, and interconvert orthogonal arrays, "

@@ -107,20 +107,27 @@ class AugmentedOA(_Array):
         return f"AOA({self.s},{self.t},{self.k},{self.v}) [{len(self.grid)} rows]"
 
 
-def _canonical_grid(rows: Iterable[Sequence[int]], width: int,
+def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
                     v: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows as a read-only grid in canonical (lexicographic) order, and the
-    permutation that sorted them: row i of the grid is input row order[i]."""
+    permutation that sorted them: row i of the grid is input row order[i].
+    A 2-d int64 array (a row space, say) is taken as it is, without a copy
+    into Python tuples; the grid is always a new array."""
     if v < 2:
         raise ValueError(f"alphabet size must be >= 2, got {v}")
-    rows = [tuple(r) for r in rows]
-    for r in rows:
-        if len(r) != width:
-            raise ValueError(f"row {r} has length {len(r)}, expected {width}")
-    try:
-        grid = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-    except OverflowError:
-        raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.int64:
+        grid = rows
+        if grid.shape[1] != width:
+            raise ValueError(f"rows have length {grid.shape[1]}, expected {width}")
+    else:
+        rows = [tuple(r) for r in rows]
+        for r in rows:
+            if len(r) != width:
+                raise ValueError(f"row {r} has length {len(r)}, expected {width}")
+        try:
+            grid = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        except OverflowError:
+            raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
     if grid.size and not 0 <= grid.min() <= grid.max() < v:
         raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
     order = np.lexsort(grid.T[::-1])

@@ -9,12 +9,19 @@ columns, share point assignment).
 
 For extension fields the reducing polynomial is the lexicographically
 smallest monic irreducible of degree j, coefficients compared from the
-constant term upward.  This is deterministic and needs no table.
+constant term upward.  It need not be primitive, so each field then searches
+the encodings in ascending order for the smallest primitive element g, and
+builds, once at construction, exp/log tables over g and the Zech logarithms
+log(1 + g^n), each of size O(q).  Scalar arithmetic is lookups in those
+tables; ``_mul_arrays``/``_add_arrays`` apply the same arithmetic to whole
+int64 arrays.  No table is built at import.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 ORDER_CAP = 2**16
 
@@ -56,17 +63,6 @@ def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                out[i + k] = (out[i + k] + ai * bk) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -124,6 +120,16 @@ def _poly_str(poly: tuple[int, ...]) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _orbit_of_one(times: np.ndarray, n: int) -> np.ndarray:
+    """g^0, ..., g^(n-1), given the map ``times``: a -> a * g.  Composing the map
+    a -> a * g^m with itself gives a -> a * g^2m, so the orbit doubles per step."""
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < n:
+        powers = np.concatenate([powers, times[powers]])
+        times = times[times]
+    return powers[:n]
+
+
 class GF:
     """The finite field GF(p^j), operating on integer-encoded elements.
 
@@ -132,26 +138,67 @@ class GF:
     syntax and cross-field checks.
     """
 
-    __slots__ = ("p", "j", "q", "reducing_poly", "_mul_table", "_inv_table")
+    __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_zech",
+                 "_exp_array", "_log_array")
 
     def __init__(self, p: int, j: int = 1):
-        if not is_prime(p):
+        if p < 2:
             raise ValueError(f"{p} is not prime")
         if j < 1:
             raise ValueError(f"extension degree must be >= 1, got {j}")
-        q = p**j
-        if q > ORDER_CAP:
-            raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+        # before the primality test, which trial-divides up to sqrt(p)
+        if p > ORDER_CAP or j >= ORDER_CAP.bit_length() or p**j > ORDER_CAP:
+            raise ValueError(f"field order {p if j == 1 else f'{p}^{j}'} exceeds cap {ORDER_CAP}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.j = j
-        self.q = q
+        self.q = p**j
         self.reducing_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, j) if j > 1 else None
         )
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
-        if j > 1 and q <= 64:
-            self._build_tables()
+        self._tabulate()
+
+    def _tabulate(self) -> None:
+        """exp/log tables over the smallest-encoding primitive element g, and the
+        Zech logarithms log(1 + g^n), all of size O(q).
+
+        ``log[0]`` is the sentinel 2(q-1), and ``exp`` holds two periods of the
+        powers of g followed by zeros, so ``exp[log[a] + log[b]]`` is the product
+        for every a and b, zero included, with no branch.
+        """
+        p, j, q = self.p, self.j, self.q
+        # a constant of GF(p) has order dividing p-1 < q-1, so for j > 1 start at x
+        for g in range(p if j > 1 else 1, q):
+            powers = _orbit_of_one(self._times(g), q - 1)
+            if not (powers[1:] == 1).any():
+                break
+        zero = 2 * (q - 1)
+        exp = np.zeros(4 * q - 3, dtype=np.int64)
+        exp[:zero] = np.tile(powers, 2)
+        log = np.empty(q, dtype=np.int64)
+        log[powers] = np.arange(q - 1)
+        log[0] = zero
+        self._exp_array, self._log_array = exp, log
+        self._exp, self._log = exp.tolist(), log.tolist()
+        self._zech = log[self._add_arrays(powers, 1)].tolist()
+
+    def _times(self, g: int) -> np.ndarray:
+        """a * g for every encoding a.  The map is GF(p)-linear, so it is built
+        digit by digit: with the values on [0, p^i) known, those on
+        [c * p^i, (c+1) * p^i) add c * x^i * g to them."""
+        p = self.p
+        coef = np.arange(p)[:, None]
+        places = p ** np.arange(self.j)
+        times = np.zeros(1, dtype=np.int64)
+        row = list(self.coeffs(g))  # coefficients of x^i * g
+        for _ in range(self.j):
+            times = self._add_arrays((coef * row % p @ places)[:, None], times).ravel()
+            top = row[-1]
+            row = [0] + row[:-1]
+            if self.j > 1:
+                row = [(c - top * m) % p for c, m in zip(row, self.reducing_poly)]
+        return times
 
     # -- encoding helpers --
 
@@ -174,89 +221,64 @@ class GF:
             raise ValueError(f"{a} is not an element encoding in GF({self.q})")
         return a
 
-    # -- arithmetic on integer encodings --
+    # -- arithmetic on integer encodings: table lookups --
 
     def add(self, a: int, b: int) -> int:
+        """a + b = a * (1 + b/a), through the Zech logarithm of b/a."""
         self._check(a), self._check(b)
-        if self.j == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.j == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log[self.p - 1]]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)
-        if self.j == 1:
-            return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        red = _poly_mod(prod, self.reducing_poly, self.p)
-        return self.encode(red + (0,) * (self.j - len(red)))
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.j == 1:
-            return pow(a, -1, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; negative exponents go through the inverse."""
+        """a^e, with 0^0 = 1; negative exponents go through the inverse."""
         self._check(a)
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
-    def _build_tables(self) -> None:
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_poly(a, b)
-                table[a * q + b] = v
-                table[b * q + a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv_table = inv
+    # -- whole-array arithmetic on int64 arrays of encodings, for linalg --
+
+    def _mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise products of two broadcastable arrays (or an array and a constant)."""
+        return self._exp_array[self._log_array[a] + self._log_array[b]]
+
+    def _add_arrays(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+        """Elementwise sums of two broadcastable arrays: XOR for p = 2, else base-p
+        digit by digit, needing about twice the output's memory."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        total = (a + b) % p
+        place = p
+        for _ in range(1, self.j):
+            digit = a // place + b // place
+            digit %= p
+            digit *= place
+            total += digit
+            place *= p
+        return total
 
     # -- element interface --
 
@@ -299,6 +321,8 @@ def field_new(p: int, j: int = 1) -> GF:
 
 def field_for_order(q: int) -> GF:
     """Construct the field of order q, rejecting non-prime-powers."""
+    if q > ORDER_CAP:  # before factoring, which trial-divides up to sqrt(q)
+        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
     pj = factor_prime_power(q)
     if pj is None:
         raise ValueError(f"{q} is not a prime power")

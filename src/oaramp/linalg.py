@@ -7,8 +7,9 @@ deterministic; exact field arithmetic has no stability concerns.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded
 from .gf import GF, FieldElement, field_for_order
@@ -139,10 +140,13 @@ def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] |
     return tuple(x)
 
 
-def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> list[tuple[int, ...]]:
-    """All q^rows products u @ m, for u in ascending base-q order (u[0] most significant).
+def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
+    """All q^rows products u @ m, for u in ascending base-q order (u[0] most
+    significant), as a read-only (q^rows, cols) int64 grid.
 
-    Duplicates appear exactly when rank(m) < m.rows.
+    Duplicates appear exactly when rank(m) < m.rows.  The grid grows one
+    generator row at a time: each of its rows is added to every multiple of
+    the next generator row, in one broadcast over the field's array arithmetic.
     """
     q = m.field.q
     total = q**m.rows * m.cols
@@ -152,19 +156,13 @@ def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> list[tuple[int, .
             f"cap is {max_cells}"
         )
     field = m.field
-    mul, add = field.mul, field.add
-    out = []
-    for u in itertools.product(range(q), repeat=m.rows):
-        word = [0] * m.cols
-        for coef, mrow in zip(u, m.entries):
-            if coef == 0:
-                continue
-            if coef == 1:
-                word = [add(w, x) for w, x in zip(word, mrow)]
-            else:
-                word = [add(w, mul(coef, x)) for w, x in zip(word, mrow)]
-        out.append(tuple(word))
-    return out
+    coefs = np.arange(q, dtype=np.int64)[:, None]
+    grid = np.zeros((1, m.cols), dtype=np.int64)
+    for mrow in m.entries:
+        multiples = field._mul_arrays(coefs, np.array(mrow, dtype=np.int64))  # row c: c * mrow
+        grid = field._add_arrays(grid[:, None, :], multiples[None, :, :]).reshape(-1, m.cols)
+    grid.setflags(write=False)
+    return grid
 
 
 def matrix_to_text(m: Matrix) -> str:

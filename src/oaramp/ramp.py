@@ -162,6 +162,9 @@ class RampScheme:
         # _sid[i] is row i's index into the sorted tuple of distinct secrets
         secrets, self._sid = np.unique(aoa.grid[:, aoa.k:], axis=0, return_inverse=True)
         self.secrets: tuple[tuple[int, ...], ...] = tuple(map(tuple, secrets.tolist()))
+        # the rows of secret i are _by_secret[_start[i]:_start[i + 1]], ascending
+        self._by_secret = np.argsort(self._sid, kind="stable")
+        self._start = np.concatenate(([0], np.cumsum(_tally(self._sid, len(secrets))))).tolist()
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -183,7 +186,7 @@ class RampScheme:
         i = bisect.bisect_left(self.secrets, key)
         if i == len(self.secrets) or self.secrets[i] != key:
             raise ValueError(f"unknown secret {key}")
-        return np.flatnonzero(self._sid == i).tolist()
+        return self._by_secret[self._start[i]:self._start[i + 1]].tolist()
 
     def _rules(self, grid: np.ndarray) -> tuple[Rule, ...]:
         n = self.n

@@ -1,5 +1,6 @@
-"""Reference implementations of every counting path, kept as differential
-oracles for the grid-based code in ``oaramp``.
+"""Reference implementations of every counting path and of the field
+arithmetic, kept as differential oracles for the grid- and table-based code
+in ``oaramp``.
 
 Each function is the earlier pure-Python version, unchanged in logic: dict
 and ``Counter`` counting over row tuples, the ``itertools.product`` scan for
@@ -7,7 +8,11 @@ the first offending tuple, the two grouping loops of the security audit,
 the reconstruction scan over every rule and the rule pick of dealing.  They read arrays only through
 ``.rows`` and schemes only through ``.rules``, ``.weights`` and
 ``.secrets``, and return the library's own result types, so a test can
-require equal results field by field.
+require equal results field by field.  The field operations multiply
+coefficient polynomials and reduce them by the field's reducing polynomial,
+add base-p digit by digit, and use only ``p``, ``j``, ``q``, ``coeffs``,
+``encode`` and ``reducing_poly`` of a ``GF``; ``row_space`` is the
+one-product-at-a-time enumeration over them.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from oaramp.designs import (
     _check_caps,
 )
 from oaramp.errors import CapExceeded
-from oaramp.gf import factor_prime_power, field_for_order
-from oaramp.linalg import DEFAULT_CELL_CAP, kernel_vector
+from oaramp.gf import _poly_mod, factor_prime_power, field_for_order
+from oaramp.linalg import DEFAULT_CELL_CAP, Matrix, kernel_vector
 from oaramp.ramp import (
     DEFAULT_AUDIT_WORK_CAP,
     AuditFailure,
@@ -39,6 +44,100 @@ from oaramp.ramp import (
     ReconstructionResult,
     ShareBundle,
 )
+
+
+# --- field arithmetic and the row space ------------------------------------------
+
+
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bk in enumerate(b):
+                out[i + k] = (out[i + k] + ai * bk) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def field_add(f, a: int, b: int) -> int:
+    if f.j == 1:
+        return (a + b) % f.p
+    p = f.p
+    out = 0
+    mult = 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def field_neg(f, a: int) -> int:
+    if f.j == 1:
+        return (-a) % f.p
+    p = f.p
+    out = 0
+    mult = 1
+    while a:
+        out += ((p - a % p) % p) * mult
+        a //= p
+        mult *= p
+    return out
+
+
+def field_mul(f, a: int, b: int) -> int:
+    if f.j == 1:
+        return (a * b) % f.p
+    prod = _poly_mul(f.coeffs(a), f.coeffs(b), f.p)
+    red = _poly_mod(prod, f.reducing_poly, f.p)
+    return f.encode(red + (0,) * (f.j - len(red)))
+
+
+def field_pow(f, a: int, e: int) -> int:
+    """Square-and-multiply; negative exponents go through the inverse."""
+    if e < 0:
+        a = field_inv(f, a)
+        e = -e
+    result = 1
+    base = a
+    while e:
+        if e & 1:
+            result = field_mul(f, result, base)
+        base = field_mul(f, base, base)
+        e >>= 1
+    return result
+
+
+def field_inv(f, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError(f"0 has no inverse in GF({f.q})")
+    if f.j == 1:
+        return pow(a, -1, f.p)
+    return field_pow(f, a, f.q - 2)
+
+
+def row_space(m: Matrix) -> list[tuple[int, ...]]:
+    """All q^rows products u @ m, for u in ascending base-q order (u[0] most significant)."""
+    f = m.field
+    out = []
+    for u in itertools.product(range(f.q), repeat=m.rows):
+        word = [0] * m.cols
+        for coef, mrow in zip(u, m.entries):
+            if coef == 0:
+                continue
+            if coef == 1:
+                word = [field_add(f, w, x) for w, x in zip(word, mrow)]
+            else:
+                word = [field_add(f, w, field_mul(f, coef, x)) for w, x in zip(word, mrow)]
+        out.append(tuple(word))
+    return out
+
+
+# --- verification, split, reconstruction, audit, dealing ---------------------------
 
 
 def _first_offender(counts: Counter, v: int, width: int) -> tuple[tuple[int, ...], int]:

@@ -1,10 +1,17 @@
 """End-to-end command-line flows, exercised in process through main()."""
 
 import io
+import subprocess
+import sys
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
 
+from oaramp import cli
 from oaramp.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, input_text=""):
@@ -192,3 +199,48 @@ def test_huge_alphabet_exits_2_without_traceback(argv, text, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [["--q", "1000000000000000003"],
+                                   ["--p", "1000000000000000003"]])
+def test_huge_field_order_exits_2_before_any_primality_test(field):
+    # trial division up to sqrt(10^18) would run for hours; the order cap comes first
+    proc = subprocess.run(
+        [sys.executable, "-m", "oaramp", "construct", "oa-rs", *field, "--t", "2"],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exceeds cap 65536" in proc.stderr
+
+
+def test_one_parser_serves_every_command():
+    _, oa_text = run(["construct", "oa-rs", "--q", "3", "--t", "2"])
+    _, aoa_text = run(["demo", "example-4-3"])
+    calls = [
+        (["construct", "oa-rs", "--q", "4", "--t", "2"], ""),
+        (["verify"], oa_text),
+        (["construct", "no-such-verb"], ""),  # usage error
+        (["--max-cells", "5000", "construct", "aoa-merge", "--s", "1"], oa_text),
+        (["construct", "aoa-shamir", "--q", "5", "--s", "1", "--t", "2", "--n", "4"], ""),
+        (["ramp", "deal", "--secret", "1,2", "--seed", "9"], aoa_text),
+        (["bounds", "bush", "--t", "4"], ""),  # usage error: --v missing
+        (["split"], aoa_text),
+        (["--max-cells", "10", "ramp", "audit"], aoa_text),
+        (["bounds", "mds-max", "--t", "3", "--q", "4"], ""),
+    ]
+
+    def run_all(fresh_parser):
+        results = []
+        for argv, text in calls:
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, out = run(argv, text)
+            results.append((code, out, err.getvalue()))
+        return results
+
+    fresh = run_all(fresh_parser=True)
+    cli._build_parser.cache_clear()
+    assert run_all(fresh_parser=False) == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 1, 2, 0]

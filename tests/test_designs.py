@@ -4,6 +4,7 @@ construction, the merge/split transforms, and the text format."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from oaramp.designs import (
@@ -460,6 +461,20 @@ def test_array_constructors_validate():
         AugmentedOA(2, 2, 3, 2, [])  # s = t
     with pytest.raises(ValueError):
         AugmentedOA(1, 3, 2, 3, [])  # t > k
+
+
+def test_array_constructors_take_an_int64_grid_as_is():
+    rows = [(1, 1, 0), (0, 0, 0), (0, 1, 1), (1, 0, 1)]
+    grid = np.array(rows, dtype=np.int64)
+    a = OrthogonalArray(2, 3, 2, grid)
+    assert a == OrthogonalArray(2, 3, 2, rows)
+    assert a.grid is not grid and not a.grid.flags.writeable
+    assert grid.tolist() == [list(r) for r in rows]  # the input is not reordered
+    assert AugmentedOA(1, 2, 2, 2, grid).rows == a.rows
+    with pytest.raises(ValueError, match="rows have length 2, expected 3"):
+        OrthogonalArray(2, 3, 2, grid[:, :2])
+    with pytest.raises(ValueError, match="symbol 2 outside"):
+        OrthogonalArray(2, 3, 2, grid + 1)
 
 
 def test_rows_are_canonicalized():

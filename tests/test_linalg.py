@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,15 +68,20 @@ def test_columns_independent_matches_brute_force(q):
                 assert columns_independent(m, idx) == expected, (entries, idx)
 
 
+def tuples(grid):
+    return [tuple(w) for w in grid.tolist()]
+
+
 def test_row_space_enumeration_order_and_contents():
     m = Matrix(GF(2), [[1, 1], [0, 1]])
     words = row_space(m)
     # u runs 00, 01, 10, 11 with u[0] most significant; u @ m = (u0, u0 + u1)
-    assert words == [(0, 0), (0, 1), (1, 1), (1, 0)]
-    assert sorted(words) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # the full space
+    assert tuples(words) == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    assert sorted(tuples(words)) == [(0, 0), (0, 1), (1, 0), (1, 1)]  # the full space
+    assert words.dtype == np.int64 and not words.flags.writeable
 
     rep = row_space(Matrix(GF(3), [[1, 1, 1]]))
-    assert rep == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
+    assert tuples(rep) == [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
 
 
 def test_row_space_of_generator_is_an_orthogonal_array():
@@ -100,7 +106,7 @@ def test_row_space_counts_duplicates_by_rank():
                            for _ in range(n_rows)])
             words = row_space(m)
             assert len(words) == q**n_rows
-            assert len(set(words)) == q ** rank(m)
+            assert len(set(tuples(words))) == q ** rank(m)
 
 
 def test_row_space_cap():
