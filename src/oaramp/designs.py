@@ -24,7 +24,14 @@ import numpy as np
 
 from .errors import CapExceeded, ConstructionError
 from .gf import GF, factor_prime_power, field_for_order
-from .linalg import DEFAULT_CELL_CAP, Matrix, columns_independent, kernel_vector, row_space
+from .linalg import (
+    DEFAULT_CELL_CAP,
+    Matrix,
+    _check_row_space_cap,
+    first_dependent,
+    kernel_vector,
+    row_space,
+)
 
 DEFAULT_SUBSET_CAP = 10**5
 
@@ -289,20 +296,23 @@ def rs_generator(field: GF, t: int) -> Matrix:
 
 
 def _check_subsets_independent(m: Matrix, subsets, condition: str) -> None:
-    for cols in subsets:
-        if not columns_independent(m, cols):
-            raise ConstructionError(
-                f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
-                f"dependent ({condition})",
-                condition=condition, witness=tuple(cols))
+    cols = first_dependent(m, subsets)
+    if cols is not None:
+        raise ConstructionError(
+            f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
+            f"dependent ({condition})",
+            condition=condition, witness=tuple(cols))
 
 
 def oa_from_generator(m: Matrix, t: int, max_cells: int = DEFAULT_CELL_CAP) -> OrthogonalArray:
-    """Enumerate the row space of a t-row generator with t-wise independent columns."""
+    """Enumerate the row space of a t-row generator with t-wise independent columns.
+    The caps are checked before the independence of any column subset."""
     if m.rows != t:
         raise ValueError(f"generator must have exactly t={t} rows, has {m.rows}")
     if m.cols < t:
         raise ValueError(f"generator needs at least t={t} columns, has {m.cols}")
+    _check_row_space_cap(m, max_cells)
+    _check_caps(0, [math.comb(m.cols, t)], max_cells, DEFAULT_SUBSET_CAP)
     _check_subsets_independent(m, itertools.combinations(range(m.cols), t), "strength")
     return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
 
@@ -311,7 +321,8 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
                max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
     """Build an AOA(s,t,k,q) from a t x (k+t-s) matrix whose first k columns
     are t-wise independent and whose last t-s columns, joined with any s of
-    the first k, are independent.  Both conditions are checked up front.
+    the first k, are independent.  Both conditions are checked up front,
+    after the caps.
     """
     if not 0 <= s < t <= k:
         raise ValueError(f"need 0 <= s < t <= k, got s={s}, t={t}, k={k}")
@@ -319,6 +330,8 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
         raise ValueError(
             f"matrix must be {t}x{k + t - s} for AOA({s},{t},{k},{m.field.q}), "
             f"is {m.rows}x{m.cols}")
+    _check_row_space_cap(m, max_cells)
+    _check_caps(0, [math.comb(k, t), math.comb(k, s)], max_cells, DEFAULT_SUBSET_CAP)
     tail = tuple(range(k, k + t - s))
     _check_subsets_independent(
         m, itertools.combinations(range(k), t), "plain-strength")
@@ -419,7 +432,7 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
     if factor_prime_power(a.v) is None:
         return None
     field = field_for_order(a.v)
-    x = kernel_vector(field, np.unique(a.grid[:, cols], axis=0).tolist())
+    x = kernel_vector(field, np.unique(a.grid[:, cols], axis=0))
     if x is None:
         return None
     lead = max(i for i, xi in enumerate(x) if xi != 0)
@@ -610,44 +623,80 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
 # text format
 
 
+# Rows written per step by ``dump_array``: bounds its temporaries.
+_DUMP_ROWS = 2048
+
+
 def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
-    """One-record-per-line text form; rows are already canonical."""
+    """One-record-per-line text form; rows are already canonical.
+
+    Every cell is written as its symbol joined with the separator after it
+    (a space, a comma inside the augmented tuple, or the line's newline),
+    picked from one table of such strings by the symbol's rank among the
+    distinct symbols and the column's separator.
+    """
     if isinstance(a, OrthogonalArray):
-        lines = [f"OA {a.t} {a.k} {a.v}"]
-        lines.extend(" ".join(map(str, r)) for r in a.grid.tolist())
+        head, seps = f"OA {a.t} {a.k} {a.v}", " " * (a.k - 1) + "\n"
     else:
-        lines = [f"AOA {a.s} {a.t} {a.k} {a.v}"]
-        for r in a.grid.tolist():
-            plain = " ".join(map(str, r[: a.k]))
-            aug = ",".join(map(str, r[a.k:]))
-            lines.append(f"{plain} {aug}")
-    return "\n".join(lines) + "\n"
+        head, seps = f"AOA {a.s} {a.t} {a.k} {a.v}", " " * a.k + "," * (a.aug_width - 1) + "\n"
+    kinds = " ,\n"
+    sep_index = np.array([kinds.index(c) for c in seps], dtype=np.int64)
+    out = [head + "\n"]
+    for start in range(0, len(a.grid), _DUMP_ROWS):
+        block = a.grid[start:start + _DUMP_ROWS]
+        symbols, inverse = np.unique(block, return_inverse=True)
+        table = [f"{x}{sep}" for sep in kinds for x in symbols.tolist()]
+        cells = inverse.reshape(block.shape) + sep_index * len(symbols)
+        out.append("".join([table[i] for i in cells.ravel().tolist()]))
+    return "".join(out)
+
+
+def _symbol_grid(values: list[int], lengths: list[int], width: int) -> np.ndarray | list[list[int]]:
+    """The symbols read row after row into ``values``, each row's count in
+    ``lengths``: a 2-d int64 grid when every row has ``width`` and all fit 64
+    bits, else lists of Python ints, which the array constructor rejects as it
+    rejects any other bad rows."""
+    if width > 0 and all(n == width for n in lengths):
+        try:
+            return np.array(values, dtype=np.int64).reshape(len(lengths), width)
+        except OverflowError:
+            pass
+    values = iter(values)
+    return [list(itertools.islice(values, n)) for n in lengths]
 
 
 def load_array(text: str) -> OrthogonalArray | AugmentedOA:
-    """Parse either array format; rows may be in any order and are canonicalized."""
+    """Parse either array format; rows may be in any order and are canonicalized.
+    Symbols are converted line by line into one list, then one grid."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty array text")
     head = lines[0].split()
+    values: list[int] = []
     if head[0] == "OA":
         if len(head) != 4:
             raise ValueError(f"malformed OA header: {lines[0]!r}")
         t, k, v = (int(x) for x in head[1:])
-        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-        return OrthogonalArray(t, k, v, rows)
+        lengths = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            values += map(int, parts)
+            lengths.append(len(parts))
+        return OrthogonalArray(t, k, v, _symbol_grid(values, lengths, k))
     if head[0] == "AOA":
         if len(head) != 5:
             raise ValueError(f"malformed AOA header: {lines[0]!r}")
         s, t, k, v = (int(x) for x in head[1:])
-        rows = []
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != k + 1:
                 raise ValueError(f"row {ln!r} does not have {k} symbols plus an augmented field")
-            aug = [int(x) for x in parts[-1].split(",")]
+            field = parts.pop()
+            aug = [int(x) for x in field.split(",")]
             if len(aug) != t - s:
-                raise ValueError(f"augmented field {parts[-1]!r} is not a {t - s}-tuple")
-            rows.append([int(x) for x in parts[:-1]] + aug)
-        return AugmentedOA(s, t, k, v, rows)
+                raise ValueError(f"augmented field {field!r} is not a {t - s}-tuple")
+            values += map(int, parts)
+            values += aug
+        width = k + t - s
+        return AugmentedOA(s, t, k, v, _symbol_grid(values, [width] * (len(lines) - 1), width))
     raise ValueError(f"unknown array header {head[0]!r}")

@@ -13,8 +13,8 @@ constant term upward.  It need not be primitive, so each field then searches
 the encodings in ascending order for the smallest primitive element g, and
 builds, once at construction, exp/log tables over g and the Zech logarithms
 log(1 + g^n), each of size O(q).  Scalar arithmetic is lookups in those
-tables; ``_mul_arrays``/``_add_arrays`` apply the same arithmetic to whole
-int64 arrays.  No table is built at import.
+tables; ``_mul_arrays``/``_add_arrays``/``_inv_arrays``/``_neg_arrays`` apply
+the same arithmetic to whole int64 arrays.  No table is built at import.
 """
 
 from __future__ import annotations
@@ -26,34 +26,61 @@ import numpy as np
 ORDER_CAP = 2**16
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)); bases 2..37 alone are exact only below 3.18e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A composite verdict is always proven; a
+    number the bases cannot prove composite is prime below ``_MR_EXACT_BELOW``,
+    and above it is rejected with ValueError rather than guessed."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {n} is prime: the test is exact "
+                         f"only below {_MR_EXACT_BELOW}")
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, j) with q = p^j and p prime, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            j = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                j += 1
-            return (p, j) if m == 1 else None
-        p += 1
-    return (q, 1)  # q itself is prime
+    for j in range(q.bit_length(), 1, -1):
+        p = _iroot(q, j)
+        if p**j == q and is_prime(p):
+            return p, j
+    return (q, 1) if is_prime(q) else None
 
 
 # -- polynomial helpers over GF(p); coefficient tuples, constant term first --
@@ -263,6 +290,14 @@ class GF:
     def _mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise products of two broadcastable arrays (or an array and a constant)."""
         return self._exp_array[self._log_array[a] + self._log_array[b]]
+
+    def _inv_arrays(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverses of an array of nonzero encodings."""
+        return self._exp_array[self.q - 1 - self._log_array[a]]
+
+    def _neg_arrays(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise negatives: products with -1."""
+        return self._mul_arrays(a, self.p - 1)
 
     def _add_arrays(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         """Elementwise sums of two broadcastable arrays: XOR for p = 2, else base-p

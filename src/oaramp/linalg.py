@@ -2,11 +2,14 @@
 
 Entries are stored as integer element encodings (see ``gf``).  All pivoting
 scans top-to-bottom for the first nonzero entry, so every result is
-deterministic; exact field arithmetic has no stability concerns.
+deterministic; exact field arithmetic has no stability concerns.  Rank,
+independence and kernel vectors all come from one elimination kernel that
+reduces a whole stack of matrices at once with the field's array arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,35 +77,61 @@ class Matrix:
         return f"Matrix(GF({self.field.q}), [{body}])"
 
 
-def _rref(field: GF, grid: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row echelon form; returns (grid, pivot column list)."""
-    n_rows = len(grid)
-    n_cols = len(grid[0]) if grid else 0
-    pivots: list[int] = []
-    r = 0
+# Subsets reduced together by one call of the elimination kernel: bounds the
+# stack's memory, and a scan stops at the first block holding a dependent subset.
+_BLOCK = 4096
+
+
+def _reduce(field: GF, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's rank, and its reduced row echelon form, for an (N, r, c)
+    int64 stack of matrices over ``field``, reduced together.
+
+    Column by column, every matrix with a nonzero entry at or below its
+    current rank takes the first such row as pivot, swaps it up, scales it to 1
+    and clears the column in every other row: the steps of Gaussian elimination
+    on one matrix, done for the whole stack by array arithmetic.
+    """
+    a = np.array(stack, dtype=np.int64)  # a copy: rows are rewritten in place
+    n, n_rows, n_cols = a.shape
+    rank = np.zeros(n, dtype=np.int64)
+    row_ids = np.arange(n_rows)
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if grid[i][c] != 0), None)
-        if pivot_row is None:
+        candidates = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
+        sel = np.flatnonzero(candidates.any(axis=1))
+        if not sel.size:
             continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        inv = field.inv(grid[r][c])
-        if inv != 1:
-            grid[r] = [field.mul(inv, x) for x in grid[r]]
-        for i in range(n_rows):
-            if i != r and grid[i][c] != 0:
-                f = grid[i][c]
-                grid[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(grid[i], grid[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return grid, pivots
+        top, found = rank[sel], candidates[sel].argmax(axis=1)
+        pivot = a[sel, found]
+        a[sel, found] = a[sel, top]
+        pivot = field._mul_arrays(pivot, field._inv_arrays(pivot[:, c])[:, None])
+        a[sel, top] = pivot
+        factors = field._neg_arrays(a[sel, :, c])
+        factors[np.arange(len(sel)), top] = 0
+        a[sel] = field._add_arrays(
+            a[sel], field._mul_arrays(factors[:, :, None], pivot[:, None, :]))
+        rank[sel] += 1
+    return rank, a
 
 
 def rank(m: Matrix) -> int:
     """Rank by Gaussian elimination over the matrix's field."""
-    _, pivots = _rref(m.field, [list(r) for r in m.entries])
-    return len(pivots)
+    ranks, _ = _reduce(m.field, np.array(m.entries, dtype=np.int64)[None])
+    return int(ranks[0])
+
+
+def first_dependent(m: Matrix, subsets: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The first of ``subsets`` (tuples of column indices, all of one length)
+    whose columns are linearly dependent, or None.  The subsets are reduced in
+    blocks of a fixed size, one batched elimination per block."""
+    entries = np.array(m.entries, dtype=np.int64)
+    subsets = iter(subsets)
+    while block := list(itertools.islice(subsets, _BLOCK)):
+        cols = np.array(block, dtype=np.int64)
+        ranks, _ = _reduce(m.field, entries[:, cols].transpose(1, 0, 2))
+        bad = np.flatnonzero(ranks < cols.shape[1])
+        if bad.size:
+            return block[bad[0]]
+    return None
 
 
 def columns_independent(m: Matrix, idx: Sequence[int]) -> bool:
@@ -114,11 +143,7 @@ def columns_independent(m: Matrix, idx: Sequence[int]) -> bool:
         if c in seen:
             raise ValueError(f"duplicate column index {c}")
         seen.add(c)
-    if not idx:
-        return True
-    if len(idx) > m.rows:
-        return False
-    return rank(m.columns(idx)) == len(idx)
+    return first_dependent(m, [tuple(idx)]) is None
 
 
 def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -127,17 +152,27 @@ def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] |
     The free variable chosen is the first non-pivot column, set to 1; this
     makes the returned dependency canonical.
     """
-    n_cols = len(grid[0])
-    rref, pivots = _rref(field, [list(r) for r in grid])
+    ranks, reduced = _reduce(field, np.array(grid, dtype=np.int64)[None])
+    rref = reduced[0, :ranks[0]]
+    n_cols = rref.shape[1]
+    pivots = (rref != 0).argmax(axis=1).tolist()  # each row's leading 1
     if len(pivots) == n_cols:
         return None
     free = next(c for c in range(n_cols) if c not in pivots)
-    x = [0] * n_cols
+    x = np.zeros(n_cols, dtype=np.int64)
     x[free] = 1
-    for r, pc in enumerate(pivots):
-        # row r reads: x[pc] + rref[r][free] * x[free] + ... = 0
-        x[pc] = field.neg(rref[r][free])
-    return tuple(x)
+    # row r reads: x[pivots[r]] + rref[r][free] * x[free] + ... = 0
+    x[pivots] = field._neg_arrays(rref[:, free])
+    return tuple(x.tolist())
+
+
+def _check_row_space_cap(m: Matrix, max_cells: int) -> None:
+    total = m.field.q**m.rows * m.cols
+    if total > max_cells:
+        raise CapExceeded(
+            f"row space of {m.rows}x{m.cols} matrix over GF({m.field.q}) needs {total} cells, "
+            f"cap is {max_cells}"
+        )
 
 
 def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
@@ -148,14 +183,8 @@ def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
     generator row at a time: each of its rows is added to every multiple of
     the next generator row, in one broadcast over the field's array arithmetic.
     """
-    q = m.field.q
-    total = q**m.rows * m.cols
-    if total > max_cells:
-        raise CapExceeded(
-            f"row space of {m.rows}x{m.cols} matrix over GF({q}) needs {total} cells, "
-            f"cap is {max_cells}"
-        )
-    field = m.field
+    _check_row_space_cap(m, max_cells)
+    field, q = m.field, m.field.q
     coefs = np.arange(q, dtype=np.int64)[:, None]
     grid = np.zeros((1, m.cols), dtype=np.int64)
     for mrow in m.entries:

@@ -12,7 +12,12 @@ require equal results field by field.  The field operations multiply
 coefficient polynomials and reduce them by the field's reducing polynomial,
 add base-p digit by digit, and use only ``p``, ``j``, ``q``, ``coeffs``,
 ``encode`` and ``reducing_poly`` of a ``GF``; ``row_space`` is the
-one-product-at-a-time enumeration over them.
+one-product-at-a-time enumeration over them.  ``_rref`` is the scalar
+Gaussian elimination, one matrix and one ``GF`` call at a time, behind the
+oracle ``rank``, ``columns_independent``, ``kernel_vector`` and
+``first_dependent``; ``is_prime`` and ``factor_prime_power`` trial-divide.
+``dump_array`` joins the strings of each row's symbols; ``load_array`` calls
+``int()`` per token and hands the constructor lists of rows.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from oaramp.designs import (
     _check_caps,
 )
 from oaramp.errors import CapExceeded
-from oaramp.gf import _poly_mod, factor_prime_power, field_for_order
-from oaramp.linalg import DEFAULT_CELL_CAP, Matrix, kernel_vector
+from oaramp.gf import _poly_mod, field_for_order
+from oaramp.linalg import DEFAULT_CELL_CAP, Matrix
 from oaramp.ramp import (
     DEFAULT_AUDIT_WORK_CAP,
     AuditFailure,
@@ -135,6 +140,98 @@ def row_space(m: Matrix) -> list[tuple[int, ...]]:
                 word = [field_add(f, w, field_mul(f, coef, x)) for w, x in zip(word, mrow)]
         out.append(tuple(word))
     return out
+
+
+# --- elimination, primality ----------------------------------------------------------
+
+
+def _rref(field, grid: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """In-place reduced row echelon form; returns (grid, pivot column list)."""
+    n_rows = len(grid)
+    n_cols = len(grid[0]) if grid else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if grid[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        inv = field.inv(grid[r][c])
+        if inv != 1:
+            grid[r] = [field.mul(inv, x) for x in grid[r]]
+        for i in range(n_rows):
+            if i != r and grid[i][c] != 0:
+                f = grid[i][c]
+                grid[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(grid[i], grid[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return grid, pivots
+
+
+def rank(m: Matrix) -> int:
+    _, pivots = _rref(m.field, [list(r) for r in m.entries])
+    return len(pivots)
+
+
+def columns_independent(m: Matrix, idx) -> bool:
+    if not idx:
+        return True
+    if len(idx) > m.rows:
+        return False
+    return rank(m.columns(idx)) == len(idx)
+
+
+def first_dependent(m: Matrix, subsets) -> tuple[int, ...] | None:
+    """The first dependent subset, testing one subset at a time."""
+    for cols in subsets:
+        if not columns_independent(m, cols):
+            return tuple(cols)
+    return None
+
+
+def kernel_vector(field, grid) -> tuple[int, ...] | None:
+    n_cols = len(grid[0])
+    rref, pivots = _rref(field, [list(r) for r in grid])
+    if len(pivots) == n_cols:
+        return None
+    free = next(c for c in range(n_cols) if c not in pivots)
+    x = [0] * n_cols
+    x[free] = 1
+    for r, pc in enumerate(pivots):
+        # row r reads: x[pc] + rref[r][free] * x[free] + ... = 0
+        x[pc] = field.neg(rref[r][free])
+    return tuple(x)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def factor_prime_power(q: int) -> tuple[int, int] | None:
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            j = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                j += 1
+            return (p, j) if m == 1 else None
+        p += 1
+    return (q, 1)  # q itself is prime
 
 
 # --- verification, split, reconstruction, audit, dealing ---------------------------
@@ -336,3 +433,49 @@ def deal(sch: RampScheme, secret, seed: int) -> ShareBundle:
         weights = [sch.weights[i] for i in indices]
         chosen = rng.choices(indices, weights=weights, k=1)[0]
     return ShareBundle({j + 1: x for j, x in enumerate(rules[chosen].shares)})
+
+
+# --- text format ------------------------------------------------------------------
+
+
+def dump_array(a) -> str:
+    """One line per row of ``.rows``, symbols joined with str."""
+    if isinstance(a, OrthogonalArray):
+        lines = [f"OA {a.t} {a.k} {a.v}"]
+        lines.extend(" ".join(map(str, r)) for r in a.rows)
+    else:
+        lines = [f"AOA {a.s} {a.t} {a.k} {a.v}"]
+        for r in a.rows:
+            plain = " ".join(map(str, r[: a.k]))
+            aug = ",".join(map(str, r[a.k:]))
+            lines.append(f"{plain} {aug}")
+    return "\n".join(lines) + "\n"
+
+
+def load_array(text: str):
+    """Parse either array format, one int() per token, into lists of rows."""
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    if not lines:
+        raise ValueError("empty array text")
+    head = lines[0].split()
+    if head[0] == "OA":
+        if len(head) != 4:
+            raise ValueError(f"malformed OA header: {lines[0]!r}")
+        t, k, v = (int(x) for x in head[1:])
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+        return OrthogonalArray(t, k, v, rows)
+    if head[0] == "AOA":
+        if len(head) != 5:
+            raise ValueError(f"malformed AOA header: {lines[0]!r}")
+        s, t, k, v = (int(x) for x in head[1:])
+        rows = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != k + 1:
+                raise ValueError(f"row {ln!r} does not have {k} symbols plus an augmented field")
+            aug = [int(x) for x in parts[-1].split(",")]
+            if len(aug) != t - s:
+                raise ValueError(f"augmented field {parts[-1]!r} is not a {t - s}-tuple")
+            rows.append([int(x) for x in parts[:-1]] + aug)
+        return AugmentedOA(s, t, k, v, rows)
+    raise ValueError(f"unknown array header {head[0]!r}")

@@ -201,15 +201,42 @@ def test_huge_alphabet_exits_2_without_traceback(argv, text, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def run_process(argv):
+    return subprocess.run([sys.executable, "-m", "oaramp", *argv],
+                          env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+                          timeout=10)
+
+
 @pytest.mark.parametrize("field", [["--q", "1000000000000000003"],
                                    ["--p", "1000000000000000003"]])
 def test_huge_field_order_exits_2_before_any_primality_test(field):
     # trial division up to sqrt(10^18) would run for hours; the order cap comes first
-    proc = subprocess.run(
-        [sys.executable, "-m", "oaramp", "construct", "oa-rs", *field, "--t", "2"],
-        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=10)
+    proc = run_process(["construct", "oa-rs", *field, "--t", "2"])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "exceeds cap 65536" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["construct", "oa-rs", "--q", "4096", "--t", "2"], 4096**2 * 4097),
+    (["construct", "aoa-shamir", "--q", "1024", "--s", "1", "--t", "3", "--k", "1024"],
+     1024**3 * 1026),
+    (["--max-cells", "1000", "construct", "oa-rs", "--q", "64", "--t", "3"], 64**3 * 65),
+])
+def test_construction_caps_come_before_the_independence_checks(argv, cells):
+    # without the caps first, these checked 8.4M, 178M and 43,680 column subsets
+    proc = run_process(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and f"needs {cells} cells, cap is" in proc.stderr
+
+
+def test_mds_max_of_a_huge_order_answers_or_refuses_at_once():
+    # trial division up to sqrt(q) would run for hours on either order
+    proc = run_process(["bounds", "mds-max", "--t", "3", "--q", "1000000000000000003"])
+    assert proc.returncode == 0
+    assert proc.stdout == "max_k 1000000000000000004\ncase: 2<=t<q (proven)\n"
+    proc = run_process(["bounds", "mds-max", "--t", "3", "--q", str(2**127 - 1)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot decide whether")
 
 
 def test_one_parser_serves_every_command():

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from oaramp import designs
 from oaramp.designs import (
     AugmentedOA,
     OrthogonalArray,
@@ -131,6 +132,25 @@ def test_verify_oa_caps():
         verify_oa(a, max_cells=10)
     with pytest.raises(CapExceeded):
         verify_oa(a, max_subsets=1)
+
+
+def test_subset_caps_apply_before_any_independence_check(monkeypatch):
+    def no_row_space(*args):  # the raised cell caps would let a huge one through
+        raise AssertionError("row space reached")
+
+    monkeypatch.setattr(designs, "row_space", no_row_space)
+    # GF(512), t=2: C(513, 2) = 131,328 and C(512, 2) = 130,816 column pairs
+    f = GF(2, 9)
+    with pytest.raises(CapExceeded, match="131328 column subsets, cap is 100000"):
+        oa_from_generator(rs_generator(f, 2), 2, max_cells=10**9)
+    with pytest.raises(CapExceeded, match="130816 column subsets, cap is 100000"):
+        linear_aoa(shamir_matrix(f, 1, 2, 512), 1, 2, 512, max_cells=10**9)
+    # the augmented check's C(20, 10) = 184,756 subsets, though C(20, 19) = 20
+    with pytest.raises(CapExceeded, match="184756 column subsets, cap is 100000"):
+        linear_aoa(shamir_matrix(GF(23), 10, 19, 20), 10, 19, 20, max_cells=10**40)
+    # the cell cap comes first, even for a generator with dependent columns
+    with pytest.raises(CapExceeded, match="needs 8 cells, cap is 7"):
+        oa_from_generator(Matrix(GF(2), [[1, 1], [0, 0]]), 2, max_cells=7)
 
 
 # --- verify_mds ---------------------------------------------------------------
