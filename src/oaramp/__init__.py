@@ -35,8 +35,8 @@ from .designs import (
     verify_oa,
 )
 from .errors import CapExceeded, ConstructionError, SchemeError
-from .gf import GF, FieldElement, field_for_order, field_new
-from .linalg import Matrix, columns_independent, matrix_from_text, matrix_to_text, rank, row_space
+from .gf import GF, field_for_order
+from .linalg import Matrix, columns_independent, rank, row_space
 from .ramp import (
     AuditReport,
     IdealBoundVerdict,
@@ -57,9 +57,8 @@ from .ramp import (
 )
 
 __all__ = [
-    "GF", "FieldElement", "field_new", "field_for_order",
+    "GF", "field_for_order",
     "Matrix", "rank", "columns_independent", "row_space",
-    "matrix_to_text", "matrix_from_text",
     "OrthogonalArray", "AugmentedOA", "VerifyResult", "Witness",
     "verify_oa", "verify_mds", "verify_aoa",
     "rs_generator", "oa_from_generator", "linear_aoa", "shamir_matrix",

@@ -16,7 +16,7 @@ from typing import TextIO
 from . import designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
 from .gf import GF, field_for_order
-from .linalg import DEFAULT_CELL_CAP
+from .linalg import DEFAULT_CELL_CAP, _check_row_space_cap
 
 
 @functools.cache
@@ -140,16 +140,25 @@ def _describe(a) -> str:
 
 
 def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
+    """The cell cap is checked on the shape of the generator's row space before
+    the generator is built; parameters outside a builder's range are left for
+    the builder to report."""
     cap = _cap(args)
     if args.verb == "oa-rs":
         field = _field_from_args(args)
-        oa = designs.oa_from_generator(designs.rs_generator(field, args.t), args.t, cap)
+        q, t = field.q, args.t
+        if 2 <= t <= q:
+            _check_row_space_cap(q, t, q + 1, cap)
+        oa = designs.oa_from_generator(designs.rs_generator(field, t), t, cap)
         out.write(designs.dump_array(oa))
         return 0
     if args.verb == "aoa-shamir":
         field = _field_from_args(args)
-        m = designs.shamir_matrix(field, args.s, args.t, args.k)
-        out.write(designs.dump_array(designs.linear_aoa(m, args.s, args.t, args.k, cap)))
+        s, t, k = args.s, args.t, args.k
+        if 1 <= s < t <= k <= field.q:
+            _check_row_space_cap(field.q, t, k + t - s, cap)
+        m = designs.shamir_matrix(field, s, t, k)
+        out.write(designs.dump_array(designs.linear_aoa(m, s, t, k, cap)))
         return 0
     if args.verb == "aoa-dual":
         field = _field_from_args(args)
@@ -158,6 +167,8 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
             raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
         if t > field.q + 1:
             raise ValueError(f"need t <= q+1 for the default basis, got t={t}, q={field.q}")
+        if 2 <= t - s <= field.q:  # the basis's row space, enumerated first
+            _check_row_space_cap(field.q, t - s, t, cap)
         basis = designs.rs_generator(field, t - s).columns(range(t))
         out.write(designs.dump_array(designs.dual_aoa(basis, s, t, cap)))
         return 0

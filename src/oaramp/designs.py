@@ -311,7 +311,7 @@ def oa_from_generator(m: Matrix, t: int, max_cells: int = DEFAULT_CELL_CAP) -> O
         raise ValueError(f"generator must have exactly t={t} rows, has {m.rows}")
     if m.cols < t:
         raise ValueError(f"generator needs at least t={t} columns, has {m.cols}")
-    _check_row_space_cap(m, max_cells)
+    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
     _check_caps(0, [math.comb(m.cols, t)], max_cells, DEFAULT_SUBSET_CAP)
     _check_subsets_independent(m, itertools.combinations(range(m.cols), t), "strength")
     return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
@@ -330,7 +330,7 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
         raise ValueError(
             f"matrix must be {t}x{k + t - s} for AOA({s},{t},{k},{m.field.q}), "
             f"is {m.rows}x{m.cols}")
-    _check_row_space_cap(m, max_cells)
+    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
     _check_caps(0, [math.comb(k, t), math.comb(k, s)], max_cells, DEFAULT_SUBSET_CAP)
     tail = tuple(range(k, k + t - s))
     _check_subsets_independent(
@@ -356,8 +356,7 @@ def shamir_matrix(field: GF, s: int, t: int, k: int) -> Matrix:
         raise ValueError(f"need t <= k <= q, got t={t}, k={k}, q={q}")
     m0 = rs_generator(field, t)
     m1 = m0.columns(range(1, k + 1))
-    m2 = Matrix(field, [[1 if i == c else 0 for c in range(t - s)] for i in range(t)])
-    return m1.hstack(m2)
+    return m1.hstack(Matrix(field, np.eye(t, t - s, dtype=np.int64)))
 
 
 def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
@@ -367,6 +366,9 @@ def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = DEFAULT_CELL_CAP) -> Au
         raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
     if n.rows != t - s or n.cols != t:
         raise ValueError(f"basis must be {t - s}x{t}, is {n.rows}x{n.cols}")
+    # the basis's row space, then the generator's, before either is enumerated
+    _check_row_space_cap(n.field.q, t - s, t, max_cells)
+    _check_row_space_cap(n.field.q, t, 2 * t - s, max_cells)
     base = OrthogonalArray(t - s, t, n.field.q, row_space(n, max_cells))
     res = verify_oa(base, max_cells)
     if not res.ok:
@@ -596,6 +598,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
         if not 3 <= t <= q:
             raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
         field = field_for_order(q)
+        _check_row_space_cap(q, t, q + t - 1, max_cells)
         aoa = linear_aoa(shamir_matrix(field, 1, t, q), 1, t, q, max_cells)
         return NonexistenceReport(
             kind, (("q", q), ("t", t)), aoa, verify_aoa(aoa, max_cells),
@@ -610,6 +613,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
         field = field_for_order(q)
         top = q + 1
+        _check_row_space_cap(q, top - s, top, max_cells)  # the basis's, enumerated first
         basis = rs_generator(field, top - s)  # (t-s) x (q+1) with t = q+1
         aoa = dual_aoa(basis, s, top, max_cells)
         return NonexistenceReport(

@@ -161,8 +161,7 @@ class GF:
     """The finite field GF(p^j), operating on integer-encoded elements.
 
     The methods ``add``/``sub``/``neg``/``mul``/``inv``/``pow`` take and
-    return integer encodings.  ``FieldElement`` wraps them with operator
-    syntax and cross-field checks.
+    return integer encodings; there is no element type.
     """
 
     __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_zech",
@@ -315,26 +314,6 @@ class GF:
             place *= p
         return total
 
-    # -- element interface --
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(self, self._check(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> list["FieldElement"]:
-        """All q elements in ascending integer order."""
-        return [FieldElement(self, v) for v in range(self.q)]
-
-    def nonzero_elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, v) for v in range(1, self.q)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF):
             return NotImplemented
@@ -349,11 +328,6 @@ class GF:
         return f"GF({self.q})=GF({self.p}^{self.j}, {_poly_str(self.reducing_poly)})"
 
 
-def field_new(p: int, j: int = 1) -> GF:
-    """Construct GF(p^j) with the canonical reducing polynomial."""
-    return GF(p, j)
-
-
 def field_for_order(q: int) -> GF:
     """Construct the field of order q, rejecting non-prime-powers."""
     if q > ORDER_CAP:  # before factoring, which trial-divides up to sqrt(q)
@@ -362,95 +336,3 @@ def field_for_order(q: int) -> GF:
     if pj is None:
         raise ValueError(f"{q} is not a prime power")
     return GF(*pj)
-
-
-class FieldElement:
-    """A single element of a GF instance, with operator syntax.
-
-    Binary operators accept an element of the same field or a bare integer
-    encoding in ``[0, q - 1]``.  Mixing fields raises ValueError.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: GF, value: int):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"mixed fields: {self.field!r} vs {other.field!r}")
-            return other.value
-        if isinstance(other, int):
-            return self.field._check(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(v)))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(v, self.field.inv(self.value)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # value-based so that hash is consistent with the int equality below
-        return hash(self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q})({self.value})"

@@ -1,10 +1,11 @@
 """Dense matrices over GF(q): rank, column-subset independence, row-space enumeration.
 
-Entries are stored as integer element encodings (see ``gf``).  All pivoting
-scans top-to-bottom for the first nonzero entry, so every result is
-deterministic; exact field arithmetic has no stability concerns.  Rank,
-independence and kernel vectors all come from one elimination kernel that
-reduces a whole stack of matrices at once with the field's array arithmetic.
+A matrix holds one read-only int64 grid of element encodings (see ``gf``),
+as the arrays of ``designs`` do.  All pivoting scans top-to-bottom for the
+first nonzero entry, so every result is deterministic; exact field
+arithmetic has no stability concerns.  Rank, independence and kernel vectors
+all come from one elimination kernel that reduces a whole stack of matrices
+at once with the field's array arithmetic.
 """
 
 from __future__ import annotations
@@ -15,65 +16,55 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceeded
-from .gf import GF, FieldElement, field_for_order
+from .gf import GF
 
 DEFAULT_CELL_CAP = 10**7
 
 
 class Matrix:
-    """An immutable rows x cols grid over a single GF instance."""
+    """An immutable rows x cols matrix over a single GF instance: ``entries``
+    is one read-only int64 grid of element encodings."""
 
     __slots__ = ("field", "entries", "rows", "cols")
 
-    def __init__(self, field: GF, entries: Iterable[Iterable[int | FieldElement]]):
-        grid = []
-        for row in entries:
-            vals = []
-            for e in row:
-                if isinstance(e, FieldElement):
-                    if e.field != field:
-                        raise ValueError("entry from a different field")
-                    e = e.value
-                vals.append(field._check(e))
-            grid.append(tuple(vals))
-        if not grid or not grid[0]:
+    def __init__(self, field: GF, entries: Sequence[Sequence[int]] | np.ndarray):
+        try:
+            grid = np.array(entries)
+        except ValueError:
+            raise ValueError("matrix rows must be sequences of one length") from None
+        if grid.ndim != 2 or not grid.size:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(grid[0])
-        if any(len(r) != width for r in grid):
-            raise ValueError("ragged rows")
+        # not "iu": floats, strings, and integers past 64 bits (an object array)
+        if grid.dtype.kind not in "iu" or not 0 <= grid.min() <= grid.max() < field.q:
+            raise ValueError(f"matrix entries must be integers in [0, {field.q - 1}]")
+        grid = grid.astype(np.int64, copy=False)
+        grid.setflags(write=False)
         self.field = field
-        self.entries = tuple(grid)
-        self.rows = len(grid)
-        self.cols = width
+        self.entries = grid
+        self.rows, self.cols = grid.shape  # Python ints: q**rows must not wrap
 
     @staticmethod
     def identity(field: GF, n: int) -> "Matrix":
-        return Matrix(field, [[1 if i == k else 0 for k in range(n)] for i in range(n)])
-
-    def column(self, c: int) -> tuple[int, ...]:
-        return tuple(row[c] for row in self.entries)
+        return Matrix(field, np.eye(n, dtype=np.int64))
 
     def columns(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[row[c] for c in idx] for row in self.entries])
+        return Matrix(self.field, self.entries[:, list(idx)])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if other.field != self.field or other.rows != self.rows:
             raise ValueError("incompatible matrices for hstack")
-        return Matrix(self.field, [a + b for a, b in zip(self.entries, other.entries)])
+        return Matrix(self.field, np.hstack([self.entries, other.entries]))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)))
+        return Matrix(self.field, self.entries.T)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.entries))
+        return self.field == other.field and np.array_equal(self.entries, other.entries)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, r)) for r in self.entries)
+        body = "; ".join(" ".join(map(str, r)) for r in self.entries.tolist())
         return f"Matrix(GF({self.field.q}), [{body}])"
 
 
@@ -115,7 +106,7 @@ def _reduce(field: GF, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rank(m: Matrix) -> int:
     """Rank by Gaussian elimination over the matrix's field."""
-    ranks, _ = _reduce(m.field, np.array(m.entries, dtype=np.int64)[None])
+    ranks, _ = _reduce(m.field, m.entries[None])
     return int(ranks[0])
 
 
@@ -123,11 +114,10 @@ def first_dependent(m: Matrix, subsets: Iterable[tuple[int, ...]]) -> tuple[int,
     """The first of ``subsets`` (tuples of column indices, all of one length)
     whose columns are linearly dependent, or None.  The subsets are reduced in
     blocks of a fixed size, one batched elimination per block."""
-    entries = np.array(m.entries, dtype=np.int64)
     subsets = iter(subsets)
     while block := list(itertools.islice(subsets, _BLOCK)):
         cols = np.array(block, dtype=np.int64)
-        ranks, _ = _reduce(m.field, entries[:, cols].transpose(1, 0, 2))
+        ranks, _ = _reduce(m.field, m.entries[:, cols].transpose(1, 0, 2))
         bad = np.flatnonzero(ranks < cols.shape[1])
         if bad.size:
             return block[bad[0]]
@@ -166,11 +156,15 @@ def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] |
     return tuple(x.tolist())
 
 
-def _check_row_space_cap(m: Matrix, max_cells: int) -> None:
-    total = m.field.q**m.rows * m.cols
+def _check_row_space_cap(q: int, rows: int, cols: int, max_cells: int) -> None:
+    """Reject the row space of a rows x cols matrix over GF(q) if its q^rows x cols
+    grid exceeds the cap; callers check the shape before building the matrix."""
+    total = q**rows * cols
     if total > max_cells:
+        # a count past 20 digits is written as its formula: it may not even print
+        cells = total if total < 10**20 else f"{q}^{rows}*{cols}"
         raise CapExceeded(
-            f"row space of {m.rows}x{m.cols} matrix over GF({m.field.q}) needs {total} cells, "
+            f"row space of {rows}x{cols} matrix over GF({q}) needs {cells} cells, "
             f"cap is {max_cells}"
         )
 
@@ -183,34 +177,12 @@ def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
     generator row at a time: each of its rows is added to every multiple of
     the next generator row, in one broadcast over the field's array arithmetic.
     """
-    _check_row_space_cap(m, max_cells)
+    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
     field, q = m.field, m.field.q
     coefs = np.arange(q, dtype=np.int64)[:, None]
     grid = np.zeros((1, m.cols), dtype=np.int64)
     for mrow in m.entries:
-        multiples = field._mul_arrays(coefs, np.array(mrow, dtype=np.int64))  # row c: c * mrow
+        multiples = field._mul_arrays(coefs, mrow)  # row c: c * mrow
         grid = field._add_arrays(grid[:, None, :], multiples[None, :, :]).reshape(-1, m.cols)
     grid.setflags(write=False)
     return grid
-
-
-def matrix_to_text(m: Matrix) -> str:
-    """Serialize as a ``MAT rows cols q`` header plus one line per row."""
-    lines = [f"MAT {m.rows} {m.cols} {m.field.q}"]
-    lines.extend(" ".join(map(str, row)) for row in m.entries)
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> Matrix:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("MAT"):
-        raise ValueError("missing MAT header")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise ValueError(f"malformed MAT header: {lines[0]!r}")
-    n_rows, n_cols, q = (int(x) for x in parts[1:])
-    field = field_for_order(q)
-    body = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    if len(body) != n_rows or any(len(r) != n_cols for r in body):
-        raise ValueError("matrix body does not match header dimensions")
-    return Matrix(field, body)

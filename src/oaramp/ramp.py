@@ -36,7 +36,7 @@ from .designs import (
 )
 from .errors import CapExceeded, SchemeError
 from .gf import GF
-from .linalg import DEFAULT_CELL_CAP
+from .linalg import DEFAULT_CELL_CAP, _check_row_space_cap
 
 DEFAULT_AUDIT_WORK_CAP = 10**7
 
@@ -264,6 +264,7 @@ def scheme_shamir(field: GF, s: int, t: int, n: int) -> RampScheme:
         raise SchemeError(f"need 1 <= s < t <= n, got s={s}, t={t}, n={n}")
     if q < n + 1:
         raise SchemeError(f"need q >= n+1 distinct evaluation points, got q={q}, n={n}")
+    _check_row_space_cap(q, t, n + t - s, DEFAULT_CELL_CAP)
     return scheme_from_aoa(linear_aoa(shamir_matrix(field, s, t, n), s, t, n))
 
 

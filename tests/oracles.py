@@ -127,11 +127,11 @@ def field_inv(f, a: int) -> int:
 
 def row_space(m: Matrix) -> list[tuple[int, ...]]:
     """All q^rows products u @ m, for u in ascending base-q order (u[0] most significant)."""
-    f = m.field
+    f, entries = m.field, m.entries.tolist()
     out = []
     for u in itertools.product(range(f.q), repeat=m.rows):
         word = [0] * m.cols
-        for coef, mrow in zip(u, m.entries):
+        for coef, mrow in zip(u, entries):
             if coef == 0:
                 continue
             if coef == 1:
@@ -171,7 +171,7 @@ def _rref(field, grid: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref(m.field, [list(r) for r in m.entries])
+    _, pivots = _rref(m.field, m.entries.tolist())
     return len(pivots)
 
 

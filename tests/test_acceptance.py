@@ -122,14 +122,14 @@ def test_criterion_4_dual_construction_exact_matrices():
     started = time.perf_counter()
     f = GF(3)
     basis = rs_generator(f, 2)
-    assert basis.entries == ((1, 1, 1, 0), (0, 1, 2, 1))
+    assert basis.entries.tolist() == [[1, 1, 1, 0], [0, 1, 2, 1]]
     m = Matrix.identity(f, 4).hstack(basis.transpose())
-    assert m.entries == (
-        (1, 0, 0, 0, 1, 0),
-        (0, 1, 0, 0, 1, 1),
-        (0, 0, 1, 0, 1, 2),
-        (0, 0, 0, 1, 0, 1),
-    )
+    assert m.entries.tolist() == [
+        [1, 0, 0, 0, 1, 0],
+        [0, 1, 0, 0, 1, 1],
+        [0, 0, 1, 0, 1, 2],
+        [0, 0, 0, 1, 0, 1],
+    ]
     a = dual_aoa(basis, 2, 4)
     assert (a.s, a.t, a.k, a.v) == (2, 4, 4, 3)
     assert len(a.rows) == 81

@@ -1,12 +1,16 @@
 """End-to-end command-line flows, exercised in process through main()."""
 
 import io
+import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaramp import cli
 from oaramp.cli import main
@@ -229,6 +233,45 @@ def test_construction_caps_come_before_the_independence_checks(argv, cells):
     assert proc.stderr.startswith("error: ") and f"needs {cells} cells, cap is" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, shape, cells", [
+    (["construct", "oa-rs", "--q", "65536", "--t", "65536"],
+     "65536x65537 matrix over GF(65536)", "65536^65536*65537"),
+    (["construct", "aoa-shamir", "--q", "65536", "--s", "1", "--t", "60000", "--k", "65536"],
+     "60000x125535 matrix over GF(65536)", "65536^60000*125535"),
+    (["construct", "aoa-dual", "--q", "65536", "--s", "1", "--t", "65537"],
+     "65536x65537 matrix over GF(65536)", "65536^65536*65537"),
+    (["demo", "thm48", "--q", "59049", "--t", "50000"],
+     "50000x109048 matrix over GF(59049)", "59049^50000*109048"),
+    (["demo", "thm410", "--q", "65536", "--s", "1"],
+     "65536x65537 matrix over GF(65536)", "65536^65536*65537"),
+    (["construct", "oa-rs", "--q", "4096", "--t", "4096"],
+     "4096x4097 matrix over GF(4096)", "4096^4096*4097"),
+    (["demo", "thm410", "--q", "4096", "--s", "1"],
+     "4096x4097 matrix over GF(4096)", "4096^4096*4097"),
+    (["construct", "oa-rs", "--q", "1024", "--t", "1024"],
+     "1024x1025 matrix over GF(1024)", "1024^1024*1025"),
+])
+def test_the_cap_comes_before_the_generator_is_built(argv, shape, cells):
+    # each of the first five built its t x (q+1) generator in Python for minutes,
+    # and a count of thousands of digits could not be printed as an integer
+    proc = run_process(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: row space of {shape} needs {cells} cells, cap is 10000000\n"
+
+
+def test_parameter_errors_still_win_over_the_cap(capsys):
+    # each is over the cell cap too, but its parameters are reported first
+    for argv, message in [
+        (["construct", "oa-rs", "--q", "5", "--t", "9"], "need 2 <= t <= q, got t=9, q=5"),
+        (["construct", "aoa-shamir", "--q", "64", "--s", "1", "--t", "9", "--k", "65"],
+         "need t <= k <= q, got t=9, k=65, q=64"),
+        (["construct", "aoa-dual", "--q", "4096", "--s", "1", "--t", "2"],
+         "need 2 <= t <= q, got t=1, q=4096"),
+    ]:
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mds_max_of_a_huge_order_answers_or_refuses_at_once():
     # trial division up to sqrt(q) would run for hours on either order
     proc = run_process(["bounds", "mds-max", "--t", "3", "--q", "1000000000000000003"])
@@ -271,3 +314,54 @@ def test_one_parser_serves_every_command():
     assert run_all(fresh_parser=False) == fresh
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 1, 2, 0]
+
+
+FLAG_VALUES = [-1, 0, 1, 2, 3, 4, 5, 9, 64, 4096, 65536, 65537, 10**18 + 3, 2**127 - 1]
+FLAGGED_COMMANDS = [
+    (["construct", "oa-rs"], ["--q", "--t"]),
+    (["construct", "oa-rs"], ["--p", "--j", "--t"]),
+    (["construct", "aoa-shamir"], ["--q", "--s", "--t", "--k"]),
+    (["construct", "aoa-dual"], ["--q", "--s", "--t"]),
+    (["demo", "thm48"], ["--q", "--t"]),
+    (["demo", "thm410"], ["--q", "--s"]),
+    (["bounds", "bush"], ["--t", "--v"]),
+    (["bounds", "mds-max"], ["--t", "--q"]),
+]
+RUN_SECONDS = 5  # the slowest run within the default caps takes about 1 s
+
+
+@st.composite
+def flagged_commands(draw):
+    words, flags = draw(st.sampled_from(FLAGGED_COMMANDS))
+    argv = list(words)
+    for flag in flags:
+        argv += [flag, str(draw(st.sampled_from(FLAG_VALUES)))]
+    if draw(st.booleans()):
+        argv = ["--max-cells", str(draw(st.sampled_from(FLAG_VALUES)))] + argv
+    return argv
+
+
+class Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise Overrun(f"a run took more than {RUN_SECONDS} s")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flagged_commands())
+def test_numeric_flags_exit_0_1_or_2_at_once(argv):
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err):
+            code, _ = run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert re.match(r"(error: |usage: )", err.getvalue())

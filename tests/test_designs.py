@@ -153,6 +153,33 @@ def test_subset_caps_apply_before_any_independence_check(monkeypatch):
         oa_from_generator(Matrix(GF(2), [[1, 1], [0, 0]]), 2, max_cells=7)
 
 
+def test_demos_check_the_cell_cap_before_building_a_generator(monkeypatch):
+    def never(*args):
+        raise AssertionError("generator built")
+
+    monkeypatch.setattr(designs, "rs_generator", never)
+    monkeypatch.setattr(designs, "shamir_matrix", never)
+    with pytest.raises(CapExceeded, match=r"50000x109048 matrix over GF\(59049\) needs "
+                                          r"59049\^50000\*109048 cells, cap is 10000000"):
+        designs.nonexistence_witness(designs.THM48, 59049, t=50000)
+    with pytest.raises(CapExceeded, match=r"65536x65537 matrix over GF\(65536\) needs "
+                                          r"65536\^65536\*65537 cells, cap is 10000000"):
+        designs.nonexistence_witness(designs.THM410, 65536, s=1)
+    with pytest.raises(CapExceeded, match="3x11 matrix over GF\\(9\\) needs 8019 cells, cap is 8000"):
+        designs.nonexistence_witness(designs.THM48, 9, t=3, max_cells=8000)
+
+
+def test_dual_aoa_checks_both_row_spaces_before_enumerating_either(monkeypatch):
+    basis = rs_generator(GF(3, 2), 6).columns(range(10))  # basis 6x10, generator 10x16
+    monkeypatch.setattr(designs, "row_space", lambda *args: pytest.fail("row space reached"))
+    # the basis's 9^6*10 cells are under the cap; the generator's are not
+    with pytest.raises(CapExceeded, match="10x16 matrix over GF\\(9\\) needs 55788550416 cells"):
+        dual_aoa(basis, 4, 10)
+    # when both are over it, the basis is named, as when it was enumerated first
+    with pytest.raises(CapExceeded, match="6x10 matrix over GF\\(9\\) needs 5314410 cells, cap is 10"):
+        dual_aoa(basis, 4, 10, max_cells=10)
+
+
 # --- verify_mds ---------------------------------------------------------------
 
 
@@ -240,18 +267,18 @@ def test_verify_aoa_s0_requires_augmented_bijection():
 
 
 def test_rs_generator_known_matrices():
-    assert rs_generator(GF(3), 2).entries == ((1, 1, 1, 0), (0, 1, 2, 1))
-    assert rs_generator(GF(2), 2).entries == ((1, 1, 0), (0, 1, 1))
+    assert rs_generator(GF(3), 2).entries.tolist() == [[1, 1, 1, 0], [0, 1, 2, 1]]
+    assert rs_generator(GF(2), 2).entries.tolist() == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_rs_generator_column_structure():
     f = GF(2, 2)
     m = rs_generator(f, 3)
     assert m.rows == 3 and m.cols == 5
-    assert m.column(0) == (1, 0, 0)
-    assert m.column(4) == (0, 0, 1)
+    assert m.entries[:, 0].tolist() == [1, 0, 0]
+    assert m.entries[:, 4].tolist() == [0, 0, 1]
     for i, a in enumerate(range(1, 4), start=1):
-        assert m.column(i) == (1, a, f.mul(a, a))
+        assert m.entries[:, i].tolist() == [1, a, f.mul(a, a)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -390,7 +417,7 @@ def test_linear_aoa_condition_violation_witnesses():
 
 def test_shamir_matrix_known_small_case():
     m = shamir_matrix(GF(3), 1, 2, 2)
-    assert m.entries == ((1, 1, 1), (1, 2, 0))
+    assert m.entries.tolist() == [[1, 1, 1], [1, 2, 0]]
     a = linear_aoa(m, 1, 2, 2)
     assert (a.s, a.t, a.k, a.v) == (1, 2, 2, 3)
     assert verify_aoa(a).ok
@@ -434,7 +461,7 @@ def test_linear_aoa_joint_invariant_small_grid():
 def test_dual_aoa_reproduces_published_matrix_shape():
     f = GF(3)
     basis = rs_generator(f, 2)
-    assert basis.entries == ((1, 1, 1, 0), (0, 1, 2, 1))
+    assert basis.entries.tolist() == [[1, 1, 1, 0], [0, 1, 2, 1]]
     expected_m = Matrix(f, [
         [1, 0, 0, 0, 1, 0],
         [0, 1, 0, 0, 1, 1],

@@ -142,7 +142,7 @@ def generators(draw):
     t = draw(st.integers(2, 4))
     s = draw(st.integers(1, t - 1))
     k = draw(st.integers(t, min(f.q, 7)))
-    grid = [list(r) for r in shamir_matrix(f, s, t, k).entries]
+    grid = shamir_matrix(f, s, t, k).entries.tolist()
     c, d = draw(st.integers(0, k + t - s - 1)), draw(st.integers(0, k + t - s - 1))
     how = draw(st.sampled_from(["keep", "copy", "random"]))
     for row in grid:

@@ -14,8 +14,6 @@ from oaramp.linalg import (
     Matrix,
     columns_independent,
     kernel_vector,
-    matrix_from_text,
-    matrix_to_text,
     rank,
     row_space,
 )
@@ -142,29 +140,45 @@ def test_kernel_vector():
 def test_matrix_construction_and_helpers():
     f = GF(2, 2)
     m = Matrix(f, [[0, 1, 2], [3, 2, 1]])
-    assert m.column(1) == (1, 2)
-    assert m.transpose().entries == ((0, 3), (1, 2), (2, 1))
-    assert m.columns([2, 0]).entries == ((2, 0), (1, 3))
+    assert m.entries[:, 1].tolist() == [1, 2]
+    assert m.transpose().entries.tolist() == [[0, 3], [1, 2], [2, 1]]
+    assert m.columns([2, 0]).entries.tolist() == [[2, 0], [1, 3]]
     stacked = m.hstack(Matrix.identity(f, 2))
-    assert stacked.cols == 5 and stacked.entries[0] == (0, 1, 2, 1, 0)
+    assert stacked.cols == 5 and stacked.entries[0].tolist() == [0, 1, 2, 1, 0]
+    assert m == Matrix(f, np.array([[0, 1, 2], [3, 2, 1]]))
+    assert m != Matrix(GF(5), [[0, 1, 2], [3, 2, 1]]) and m != stacked
     with pytest.raises(ValueError):
         Matrix(f, [[0, 1], [2]])
     with pytest.raises(ValueError):
         Matrix(f, [[0, 4]])
     with pytest.raises(ValueError):
-        Matrix(GF(3), [[GF(2)(1)]])
-    assert Matrix(GF(3), [[GF(3)(2)]]).entries == ((2,),)
+        m.hstack(Matrix.identity(f, 3))
 
 
-def test_matrix_text_round_trip():
-    for field, entries in [(GF(3), [[1, 1, 1, 0], [0, 1, 2, 1]]),
-                           (GF(2, 2), [[0, 1], [2, 3], [3, 0]])]:
-        m = Matrix(field, entries)
-        text = matrix_to_text(m)
-        head = text.splitlines()[0].split()
-        assert head == ["MAT", str(m.rows), str(m.cols), str(field.q)]
-        assert matrix_from_text(text) == m
+@pytest.mark.parametrize("entries", [
+    [[0, 2**64]],  # does not fit 64 bits
+    [[0, 1], [2]],  # ragged
+    [],
+    [[]],
+    [[0, 1, 3]],  # out of range for GF(3)
+    [[-1, 0]],
+    [[1.5, 0]],  # not an integer
+    [["1", "0"]],
+])
+def test_matrix_rejects_what_is_not_a_grid_over_its_field(entries):
     with pytest.raises(ValueError):
-        matrix_from_text("1 2 3\n")
+        Matrix(GF(3), entries)
+
+
+def test_matrix_holds_one_read_only_int64_grid():
+    source = np.array([[1, 2], [0, 1]])
+    m = Matrix(GF(3), source)
+    assert m.entries.dtype == np.int64 and not m.entries.flags.writeable
+    assert type(m.rows) is int and type(m.cols) is int and (m.rows, m.cols) == (2, 2)
+    source[0, 0] = 2  # the matrix keeps its own copy
+    assert m.entries.tolist() == [[1, 2], [0, 1]]
     with pytest.raises(ValueError):
-        matrix_from_text("MAT 2 2 3\n0 1\n")
+        m.entries[0, 0] = 0
+    for derived in (m.transpose(), m.columns([1]), m.hstack(m), Matrix.identity(GF(3), 2)):
+        assert derived.entries.dtype == np.int64 and not derived.entries.flags.writeable
+        assert type(derived.rows) is int and type(derived.cols) is int

@@ -74,6 +74,15 @@ def test_scheme_shamir_parameter_errors():
         scheme_shamir(GF(5), 2, 2, 3)  # s < t
 
 
+def test_scheme_shamir_checks_the_cell_cap_before_building_its_generator(monkeypatch):
+    from oaramp import ramp
+
+    monkeypatch.setattr(ramp, "shamir_matrix", lambda *args: pytest.fail("generator built"))
+    with pytest.raises(CapExceeded, match=r"60000x125534 matrix over GF\(65536\) needs "
+                                          r"65536\^60000\*125534 cells, cap is 10000000"):
+        scheme_shamir(GF(2, 16), 1, 60000, 65535)
+
+
 def test_scheme_shamir_agrees_with_matrix_construction():
     from oaramp.designs import linear_aoa, shamir_matrix
 
