@@ -187,7 +187,8 @@ def _check_caps(cells: int, subset_counts: list[int], max_cells: int, max_subset
 
 def _tally(keys: np.ndarray, size: int) -> np.ndarray:
     """How often each integer in [0, size) occurs in ``keys``: the one place
-    rows are counted, for the verifiers, the split, the audit and reconstruct."""
+    rows are counted, for the verifiers' witnesses, the split, the audit and
+    reconstruct.  Keys are dense table indices, never hashed."""
     return np.bincount(keys, minlength=size)
 
 
@@ -195,7 +196,8 @@ def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int,
     """The first tuple over ``cols`` not in exactly one row of ``grid``, with its
     row count, or None.  The smallest base-v key is the lexicographically
     smallest tuple, so this is the first offender in canonical scan order.
-    Callers first check that there are v^len(cols) rows, which bounds the keys.
+    Callers first check that there are v^len(cols) rows, which bounds the keys;
+    ``_coverage_scan`` calls it only on a subset its mark pass has failed.
     """
     dims = (v,) * len(cols)
     counts = _tally(np.ravel_multi_index(grid[:, list(cols)].T, dims), v ** len(cols))
@@ -209,14 +211,31 @@ def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int,
 def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
     """The row count, then for each (size, tail, kind) check the coverage of
     every size-subset of the first k columns joined with the columns ``tail``,
-    subsets in ascending order; the first failure is the witness."""
+    subsets in ascending order; the first failure is the witness.
+
+    With v^t rows, every tuple occurs once exactly when every base-v key is
+    hit, so keys are marked in one reused buffer and only a failing subset is
+    counted, by ``_coverage``.  A subset's last column has place value 1; the
+    rest of its key is summed once per run of subsets sharing leading columns.
+    """
     if len(a.grid) != a.expected_rows:
         return VerifyResult(False, Witness(
             "row_count", count=len(a.grid), expected=a.expected_rows))
+    columns = a.grid.T.astype(np.int32 if len(a.grid) <= 2**31 else np.int64, order="C")
+    key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
+    hit = np.empty(len(a.grid), dtype=bool)
+    places = [a.v**e for e in range(a.t - 1, -1, -1)]
     for size, tail, kind in checks:
+        lead = None
         for cols in itertools.combinations(range(a.k), size):
-            found = _coverage(a.grid, cols + tail, a.v)
-            if found:
+            if cols[:-1] != lead:
+                lead = cols[:-1]
+                partial = sum(columns[c] * p for c, p in zip(lead + tail, places))
+            np.add(partial, columns[cols[-1]] if cols else 0, out=key)
+            hit.fill(False)
+            hit[key] = True
+            if not hit.all():
+                found = _coverage(a.grid, cols + tail, a.v)
                 return VerifyResult(False, Witness(kind, cols, *found))
     return VerifyResult(True)
 

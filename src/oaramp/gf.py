@@ -10,7 +10,8 @@ columns, share point assignment).
 For extension fields the reducing polynomial is the lexicographically
 smallest monic irreducible of degree j, coefficients compared from the
 constant term upward.  It need not be primitive, so each field then searches
-the encodings in ascending order for the smallest primitive element g, and
+the encodings in ascending order for the smallest primitive element g (no
+g^((q-1)/r) is 1 for a prime r dividing q-1, by polynomial arithmetic), and
 builds, once at construction, exp/log tables over g and the Zech logarithms
 log(1 + g^n), each of size O(q).  Scalar arithmetic is lookups in those
 tables; ``_mul_arrays``/``_add_arrays``/``_inv_arrays``/``_neg_arrays`` apply
@@ -106,6 +107,27 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(r)
 
 
+def _poly_powmod(a: tuple[int, ...], e: int, m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^e modulo the monic polynomial m, for nonzero a, by repeated squaring."""
+    if not e:
+        return (1,)
+    half = _poly_powmod(a, e // 2, m, p)
+    power = np.convolve(np.convolve(half, half), a if e & 1 else (1,))
+    return _poly_mod(tuple((power % p).tolist()), m, p)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree, low-order coefficients first."""
     for tail in itertools.product(range(p), repeat=degree):
@@ -195,10 +217,11 @@ class GF:
         """
         p, j, q = self.p, self.j, self.q
         # a constant of GF(p) has order dividing p-1 < q-1, so for j > 1 start at x
-        for g in range(p if j > 1 else 1, q):
-            powers = _orbit_of_one(self._times(g), q - 1)
-            if not (powers[1:] == 1).any():
-                break
+        m = self.reducing_poly or (0, 1)  # GF(p) is GF(p)[x] modulo x
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        g = next(g for g in range(p if j > 1 else 1, q) if all(
+            _poly_powmod(self.coeffs(g), e, m, p) != (1,) for e in exponents))
+        powers = _orbit_of_one(self._times(g), q - 1)
         zero = 2 * (q - 1)
         exp = np.zeros(4 * q - 3, dtype=np.int64)
         exp[:zero] = np.tile(powers, 2)

@@ -40,6 +40,10 @@ from .linalg import DEFAULT_CELL_CAP, _check_row_space_cap
 
 DEFAULT_AUDIT_WORK_CAP = 10**7
 
+# The largest table, in cells, that the counting helpers below index densely;
+# above it they fall back to np.unique.
+_DENSE_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -160,7 +164,7 @@ class RampScheme:
         self.aoa = aoa
         self.weights: tuple[float, ...] = tuple(weights)
         # _sid[i] is row i's index into the sorted tuple of distinct secrets
-        secrets, self._sid = np.unique(aoa.grid[:, aoa.k:], axis=0, return_inverse=True)
+        secrets, self._sid = _ranks(aoa.grid, range(aoa.k, aoa.grid.shape[1]), aoa.v)
         self.secrets: tuple[tuple[int, ...], ...] = tuple(map(tuple, secrets.tolist()))
         # the rows of secret i are _by_secret[_start[i]:_start[i + 1]], ascending
         self._by_secret = np.argsort(self._sid, kind="stable")
@@ -202,10 +206,38 @@ class RampScheme:
                 f"{len(self.weights)} rules, {len(self.secrets)} secrets)")
 
 
+def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(grid[:, cols], axis=0, return_inverse=True)`` returns,
+    read off a first-occurrence table over the v^len(cols) base-v keys of the
+    projections and that table's running count."""
+    cols = list(cols)
+    if v ** len(cols) > _DENSE_CELLS:
+        return np.unique(grid[:, cols], axis=0, return_inverse=True)
+    place = np.array([v**e for e in range(len(cols), -1, -1)], dtype=np.int64)
+    key = grid[:, cols] @ place[1:]
+    seen = np.zeros(place[0], dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
+
+
+def _dense(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Keys in [0, size) as they are, with ``size``; or, above the dense-table
+    limit, their ranks among the distinct keys, with the number of those."""
+    if size <= _DENSE_CELLS:
+        return key, size
+    distinct, rank = np.unique(key, return_inverse=True)
+    return rank, len(distinct)
+
+
 def _distinct(group: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """For each group id 0..max(group), how many distinct values it holds."""
-    m = int(value.max()) + 1
-    return _tally(np.unique(group * m + value) // m, int(group.max()) + 1)
+    """For each group id 0..max(group), how many distinct values it holds: the
+    column sums of a (values x groups) table marked at each (value, group)."""
+    groups, m = int(group.max()) + 1, int(value.max()) + 1
+    if groups * m > _DENSE_CELLS:
+        return _tally(np.unique(group * m + value) // m, groups)
+    table = np.zeros((m, groups), dtype=bool)
+    table[value, group] = True
+    return table.sum(axis=0, dtype=np.int32)  # a sum down contiguous rows
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +409,7 @@ def audit_security(sch: RampScheme,
 
     grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
     ranks = functools.cache(  # a column subset's distinct projections, each row's rank
-        lambda cols: np.unique(grid[:, list(cols)], axis=0, return_inverse=True))
+        lambda cols: _ranks(grid, cols, sch.v))
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
     weak_ok = True
@@ -388,8 +420,8 @@ def audit_security(sch: RampScheme,
         for subset in itertools.combinations(range(n), size):
             players = tuple(p + 1 for p in subset)
             projs, proj = ranks(subset)
-            pair = np.unique(proj * n_secrets + sid, return_inverse=True)[1]
-            hits = _tally(pair, len(grid))[pair]  # rules sharing each row's (proj, secret)
+            pair, pairs = _dense(proj * n_secrets + sid, len(projs) * n_secrets)
+            hits = _tally(pair, pairs)[pair]  # rules sharing each row's (proj, secret)
             weak = _distinct(proj, sid) < n_secrets
             uneven = _distinct(proj, hits) > 1
             groups += len(projs)
@@ -414,7 +446,7 @@ def audit_security(sch: RampScheme,
         for subset in itertools.combinations(range(n), s):
             players = tuple(p + 1 for p in subset)
             proj0s, proj0 = ranks(subset)
-            key = np.unique(proj0 * n_secrets + sid, return_inverse=True)[1]
+            key = _dense(proj0 * n_secrets + sid, len(proj0s) * n_secrets)[0]
             seen = _distinct(proj0, sid)
             rest = [p for p in range(n) if p not in subset]
             for p1 in itertools.combinations(rest, t - s):

@@ -207,8 +207,8 @@ def test_huge_alphabet_exits_2_without_traceback(argv, text, capsys):
 
 def run_process(argv):
     return subprocess.run([sys.executable, "-m", "oaramp", *argv],
-                          env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
-                          timeout=10)
+                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=10)
 
 
 @pytest.mark.parametrize("field", [["--q", "1000000000000000003"],

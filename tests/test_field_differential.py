@@ -3,8 +3,9 @@ against the polynomial and one-product-at-a-time versions in ``oracles``.
 
 Every field operation is compared on all pairs of elements for q <= 64 and
 on sampled pairs for GF(81), GF(243), GF(2^16) and GF(3^10); the tables are
-checked to be the powers of the smallest primitive element; row-space grids
-of 1-3-row matrices must equal the oracle's word for word, in the same order.
+checked to be the powers of the smallest primitive element, the one an orbit
+search picks for every order up to 1024 and for 3^10 and 2^16; row-space
+grids of 1-3-row matrices must equal the oracle's word for word, in order.
 """
 
 import functools
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaramp.gf import GF, factor_prime_power, field_for_order
+from oaramp.gf import GF, _orbit_of_one, factor_prime_power, field_for_order
 from oaramp.linalg import Matrix, row_space
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -96,6 +97,20 @@ def test_tables_are_powers_of_the_smallest_generator(q):
     assert not any(is_generator(f, a) for a in range(1, g))
     for n in range(q - 1) if q <= 64 else range(0, q - 1, (q - 1) // 50):
         assert f._exp[n] == oracles.field_pow(f, g, n)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 1025) if factor_prime_power(q)]
+                         + [3**10, 2**16])
+def test_primitive_element_is_the_one_an_orbit_search_picks(q):
+    """The order test picks the same g as building every candidate's orbit of
+    powers and taking the first with no early 1, so the tables are unchanged."""
+    f = field(q)
+    for g in range(f.p if f.j > 1 else 1, q):
+        powers = _orbit_of_one(f._times(g), q - 1)
+        if not (powers[1:] == 1).any():
+            break
+    assert f._exp[1] == g
+    assert f._exp_array[:q - 1].tolist() == powers.tolist()
 
 
 def test_exceptions_keep_their_contract():

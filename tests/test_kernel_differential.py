@@ -6,10 +6,16 @@ wrong row counts, one-cell corruptions of constructed arrays, swapped
 augmented tuples, non-ideal, short and weighted rule tables, and bundles
 that are valid, inconsistent or ambiguous.  Every result must be equal to
 the oracle's, field by field.
+
+The verifiers' mark path is pinned at its edges (a first failure after many
+passing subsets, in the last run of subsets sharing leading columns, and in
+the augmented check with s = 0 and s = t-1), and the audit's dense tables are
+checked against their ``np.unique`` fallback by lowering the table limit.
 """
 
 import dataclasses
 import itertools
+from operator import itemgetter
 
 import numpy as np
 import oracles
@@ -17,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oaramp.designs
+import oaramp.ramp
 from oaramp.designs import (
     AugmentedOA,
     OrthogonalArray,
@@ -33,6 +41,7 @@ from oaramp.gf import field_for_order
 from oaramp.ramp import (
     RampScheme,
     ShareBundle,
+    _ranks,
     audit_security,
     deal,
     reconstruct,
@@ -179,6 +188,65 @@ def test_swapped_augmented_tuples(data):
     check_aoa(same_aoa(a, rows))
 
 
+# --- the mark path's edges ------------------------------------------------------
+
+
+def rs_oa(q, t):
+    return oa_from_generator(rs_generator(field_for_order(q), t), t)
+
+
+def with_columns(a, values):
+    """The rows of ``a`` with column c set to ``values[c](row)`` for each c given."""
+    return [[values[c](r) if c in values else x for c, x in enumerate(r)] for r in a.rows]
+
+
+def check_oa_witness(a, columns):
+    got = verify_oa(a)
+    assert got == oracles.verify_oa(a)
+    assert got.witness.kind == "column_subset" and got.witness.columns == columns
+
+
+def test_mark_path_finds_a_failure_after_many_passing_subsets():
+    a = rs_oa(7, 2)  # OA(2,8,7): 28 subsets, the last one made to fail
+    check_oa_witness(OrthogonalArray(2, 8, 7, with_columns(a, {7: itemgetter(6)})), (6, 7))
+    a = rs_oa(8, 3)  # OA(3,9,8): (0,7,8) is subset 28 of 84
+    check_oa_witness(OrthogonalArray(3, 9, 8, with_columns(a, {8: itemgetter(7)})), (0, 7, 8))
+
+
+def test_mark_path_finds_a_failure_in_the_last_subset_of_the_last_prefix_run():
+    # over GF(5), column 5 := column 3 + column 4 leaves every 3-subset
+    # independent except (3, 4, 5), the last of all 20
+    a = rs_oa(5, 3)
+    rows = with_columns(a, {5: lambda r: (r[3] + r[4]) % 5})
+    check_oa_witness(OrthogonalArray(3, 6, 5, rows), (3, 4, 5))
+
+
+@pytest.mark.parametrize("q,t,s,aug,columns", [
+    (5, 2, 0, lambda r: [r[0], r[0]], ()),  # s = 0: the tail alone is not a bijection
+    (7, 2, 1, lambda r: [r[6]], (6,)),  # s = t-1: fails only with column 6
+    (5, 3, 2, lambda r: [r[4]], (0, 4)),
+])
+def test_mark_path_finds_a_failure_in_the_augmented_check(q, t, s, aug, columns):
+    a = aoa_merge(rs_oa(q, t), s)
+    bad = AugmentedOA(s, t, a.k, q, [list(r[:a.k]) + aug(r) for r in a.rows])
+    got = verify_aoa(bad)
+    assert got == oracles.verify_aoa(bad)
+    assert got.witness.kind == "augmented_subset" and got.witness.columns == columns
+
+
+@pytest.mark.parametrize("a", [
+    rs_oa(8, 3), rs_oa(5, 5), zero_sum_oa(1, 6), zero_sum_oa(3, 4),
+    aoa_merge(rs_oa(5, 2), 0), aoa_merge(rs_oa(7, 3), 2),
+    linear_aoa(shamir_matrix(field_for_order(9), 2, 4, 6), 2, 4, 6),
+], ids=repr)
+def test_valid_arrays_never_reach_the_counting_witness(a, monkeypatch):
+    def counted(*args):
+        raise AssertionError("_coverage reached on a valid array")
+
+    monkeypatch.setattr(oaramp.designs, "_coverage", counted)
+    assert (verify_oa(a) if isinstance(a, OrthogonalArray) else verify_aoa(a)).ok
+
+
 # --- schemes: audit, reconstruct, deal -------------------------------------------
 
 
@@ -256,6 +324,40 @@ def test_audit_matches_oracle(sch):
 def test_audit_of_corrupted_uniform_schemes_matches_oracle(sch):
     """Full tables with uniform weights: every perfect and bijection check runs."""
     assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(schemes)
+def test_audit_with_every_table_over_the_limit_matches_oracle(sch):
+    """A dense-table limit of one cell sends every count through np.unique."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oaramp.ramp, "_DENSE_CELLS", 1)
+        assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([1, 2**24]))
+def test_ranks_match_np_unique(data, limit):
+    v = data.draw(st.integers(2, 6))
+    width = data.draw(st.integers(0, 5))
+    rows = data.draw(st.integers(0, 40))
+    grid = np.array(data.draw(st.lists(st.lists(st.integers(0, v - 1), min_size=width,
+                                                max_size=width), min_size=rows, max_size=rows)),
+                    dtype=np.int64).reshape(rows, width)
+    cols = data.draw(st.lists(st.integers(0, width - 1), unique=True)) if width else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oaramp.ramp, "_DENSE_CELLS", limit)
+        projs, rank = _ranks(grid, cols, v)
+    want_projs, want_rank = np.unique(grid[:, cols], axis=0, return_inverse=True)
+    for got, want in ((projs, want_projs), (rank, want_rank)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_ranks_of_no_columns_over_an_alphabet_past_int64():
+    grid = np.array([[2**62, 1], [5, 0], [2**62, 1]], dtype=np.int64)
+    projs, rank = _ranks(grid, [], 2**70)
+    assert projs.shape == (1, 0) and projs.dtype == np.int64 and rank.tolist() == [0, 0, 0]
 
 
 @SETTINGS
