@@ -119,7 +119,12 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
     """The rows as a read-only grid in canonical (lexicographic) order, and the
     permutation that sorted them: row i of the grid is input row order[i].
     A 2-d int64 array (a row space, say) is taken as it is, without a copy
-    into Python tuples; the grid is always a new array."""
+    into Python tuples; the grid is always a new array.
+
+    The sort is one stable ``np.lexsort`` over base-v keys of column blocks,
+    c columns to a key with c the largest such that v^c <= 2^63 (one column
+    for larger v), so it gives the order and ``order`` of a lexsort over
+    every column."""
     if v < 2:
         raise ValueError(f"alphabet size must be >= 2, got {v}")
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.int64:
@@ -137,7 +142,17 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
             raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
     if grid.size and not 0 <= grid.min() <= grid.max() < v:
         raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
-    order = np.lexsort(grid.T[::-1])
+    c = 1
+    while v ** (c + 1) <= 2**63:
+        c += 1
+    keys = []
+    for start in reversed(range(0, width, c)):  # lexsort's last key is its first
+        key = grid[:, start].copy()
+        for column in grid.T[start + 1:start + c]:
+            key *= v
+            key += column
+        keys.append(key)
+    order = np.lexsort(keys)
     grid = grid[order]
     grid.setflags(write=False)
     return grid, order
@@ -650,6 +665,15 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
 _DUMP_ROWS = 2048
 
 
+def _separators(k: int, aug_width: int) -> str:
+    """The separator written after each symbol of a row: spaces between the k
+    plain symbols, commas inside an augmented tuple of ``aug_width`` digits
+    (none for an OA), and the line's newline after the last symbol."""
+    if not aug_width:
+        return " " * (k - 1) + "\n"
+    return " " * k + "," * (aug_width - 1) + "\n"
+
+
 def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
     """One-record-per-line text form; rows are already canonical.
 
@@ -659,9 +683,9 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
     distinct symbols and the column's separator.
     """
     if isinstance(a, OrthogonalArray):
-        head, seps = f"OA {a.t} {a.k} {a.v}", " " * (a.k - 1) + "\n"
+        head, seps = f"OA {a.t} {a.k} {a.v}", _separators(a.k, 0)
     else:
-        head, seps = f"AOA {a.s} {a.t} {a.k} {a.v}", " " * a.k + "," * (a.aug_width - 1) + "\n"
+        head, seps = f"AOA {a.s} {a.t} {a.k} {a.v}", _separators(a.k, a.aug_width)
     kinds = " ,\n"
     sep_index = np.array([kinds.index(c) for c in seps], dtype=np.int64)
     out = [head + "\n"]
@@ -674,42 +698,90 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
     return "".join(out)
 
 
-def _symbol_grid(values: list[int], lengths: list[int], width: int) -> np.ndarray | list[list[int]]:
-    """The symbols read row after row into ``values``, each row's count in
-    ``lengths``: a 2-d int64 grid when every row has ``width`` and all fit 64
-    bits, else lists of Python ints, which the array constructor rejects as it
-    rejects any other bad rows."""
-    if width > 0 and all(n == width for n in lengths):
-        try:
-            return np.array(values, dtype=np.int64).reshape(len(lengths), width)
-        except OverflowError:
-            pass
-    values = iter(values)
-    return [list(itertools.islice(values, n)) for n in lengths]
+# Longest symbol the whole-text reader takes: 18 digits always fit int64.
+_MAX_DIGITS = 18
+
+
+def _read_dumped(body: str, k: int, aug_width: int) -> np.ndarray | None:
+    """The rows of ``body`` as an int64 grid if it is laid out exactly as
+    ``dump_array`` writes rows of k plain symbols and an ``aug_width``-tuple
+    (the final newline may be missing), every symbol 1 to 18 ASCII digits;
+    else None.  ``body`` is ASCII.
+
+    Every non-digit byte ends a symbol, and these bytes, one row of the
+    separator pattern per text row, are compared with the pattern in one
+    step.  Each symbol's value is then gathered one digit place at a time,
+    counting back from the separator that ends it.
+    """
+    width = k + aug_width
+    if not width:
+        return None
+    data = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(),
+                         dtype=np.uint8)
+    digits = data - 48  # uint8: every byte but a digit wraps past 9
+    at = np.flatnonzero(digits > 9)  # the separator after each symbol
+    if len(at) % width:  # so a header's width is built into a pattern
+        return None      # only when the text has that many separators
+    pattern = np.frombuffer(_separators(k, aug_width).encode(), dtype=np.uint8)
+    if not (data[at].reshape(-1, width) == pattern).all():
+        return None
+    spans = np.diff(at, prepend=-1)  # each symbol's digits and its separator
+    longest = int(spans.max()) - 1
+    if spans.min() < 2 or longest > _MAX_DIGITS:
+        return None
+    spans = spans.astype(np.uint8)  # at most 19 now; a smaller copy to compare
+    at -= 1  # from here on, each symbol's digit in the place being read
+    values = digits[at].astype(np.int64)
+    for back in range(2, longest + 1):
+        at -= 1
+        place = np.take(digits, at, mode="clip")
+        place *= spans > back  # a shorter symbol has no digit here
+        values += place * np.int64(10 ** (back - 1))
+    return values.reshape(-1, width)
 
 
 def load_array(text: str) -> OrthogonalArray | AugmentedOA:
     """Parse either array format; rows may be in any order and are canonicalized.
-    Symbols are converted line by line into one list, then one grid."""
+
+    Text laid out exactly as ``dump_array`` writes it, with symbols of at
+    most 18 digits, is read in whole-array passes by ``_read_dumped``.  Any
+    other text is read line by line, one ``int()`` per token, and gives the
+    same array or the same error: the fast path takes only text on which the
+    two agree.
+    """
+    head, _, body = text.partition("\n")
+    kind, *numbers = head.split(" ")
+    if text.isascii() and all(x.isdigit() for x in numbers):
+        if kind == "OA" and len(numbers) == 3:
+            t, k, v = map(int, numbers)
+            grid = _read_dumped(body, k, 0)
+            if grid is not None:
+                return OrthogonalArray(t, k, v, grid)
+        elif kind == "AOA" and len(numbers) == 4:
+            s, t, k, v = map(int, numbers)
+            grid = _read_dumped(body, k, t - s) if s < t else None
+            if grid is not None:
+                return AugmentedOA(s, t, k, v, grid)
+    return _load_lines(text)
+
+
+def _load_lines(text: str) -> OrthogonalArray | AugmentedOA:
+    """``load_array`` for any layout: rows of Python ints, which the array
+    constructor checks as it checks any other rows."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty array text")
     head = lines[0].split()
-    values: list[int] = []
     if head[0] == "OA":
         if len(head) != 4:
             raise ValueError(f"malformed OA header: {lines[0]!r}")
         t, k, v = (int(x) for x in head[1:])
-        lengths = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            values += map(int, parts)
-            lengths.append(len(parts))
-        return OrthogonalArray(t, k, v, _symbol_grid(values, lengths, k))
+        return OrthogonalArray(t, k, v, [[int(x) for x in ln.split()] for ln in lines[1:]])
     if head[0] == "AOA":
         if len(head) != 5:
             raise ValueError(f"malformed AOA header: {lines[0]!r}")
         s, t, k, v = (int(x) for x in head[1:])
+        rows = []
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != k + 1:
@@ -718,8 +790,6 @@ def load_array(text: str) -> OrthogonalArray | AugmentedOA:
             aug = [int(x) for x in field.split(",")]
             if len(aug) != t - s:
                 raise ValueError(f"augmented field {field!r} is not a {t - s}-tuple")
-            values += map(int, parts)
-            values += aug
-        width = k + t - s
-        return AugmentedOA(s, t, k, v, _symbol_grid(values, [width] * (len(lines) - 1), width))
+            rows.append([int(x) for x in parts] + aug)
+        return AugmentedOA(s, t, k, v, rows)
     raise ValueError(f"unknown array header {head[0]!r}")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oaramp import cli
 from oaramp.cli import main
+from test_text_differential import DEFECTS, with_defect
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -349,19 +350,81 @@ def _overrun(signum, frame):
     raise Overrun(f"a run took more than {RUN_SECONDS} s")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(flagged_commands())
-def test_numeric_flags_exit_0_1_or_2_at_once(argv):
+def run_briefly(argv, input_text=""):
+    """Run one command under a RUN_SECONDS alarm: its exit code and stderr."""
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
     err = io.StringIO()
     try:
         with redirect_stderr(err):
-            code, _ = run(argv)
+            code, _ = run(argv, input_text)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flagged_commands())
+def test_numeric_flags_exit_0_1_or_2_at_once(argv):
+    code, err = run_briefly(argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert re.match(r"(error: |usage: )", err.getvalue())
+        assert re.match(r"(error: |usage: )", err)
+
+
+def _source_texts():
+    """Canonical dumps the stdin fuzz draws rows from: an OA, and AOAs with
+    augmented fields of one and two digits."""
+    texts = []
+    for argv in (["construct", "oa-rs", "--q", "3", "--t", "2"],
+                 ["construct", "aoa-shamir", "--q", "5", "--s", "1", "--t", "2", "--n", "4"],
+                 ["demo", "example-4-3"]):
+        texts.append(run(argv)[1])
+    return texts
+
+
+SOURCE_TEXTS = _source_texts()
+HEADER_VALUES = [0, 1, 2, 3, 4, 5, 9, 2**62]
+
+
+@st.composite
+def stdin_arrays(draw):
+    """A header, kept from the source or drawn at random, over the rows of a
+    canonical dump, shuffled and maybe cut short, with one defect of the text
+    differential's."""
+    source = draw(st.sampled_from(SOURCE_TEXTS)).splitlines()
+    rows = draw(st.permutations(source[1:]))
+    rows = rows[:draw(st.one_of(st.just(len(rows)), st.integers(1, len(rows))))]
+    head = source[0]
+    if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(["OA", "AOA"]))
+        numbers = draw(st.lists(st.sampled_from(HEADER_VALUES), min_size=3 + (kind == "AOA"),
+                                max_size=3 + (kind == "AOA")))
+        head = " ".join([kind, *map(str, numbers)])
+    text = "\n".join([head, *rows]) + "\n"
+    return with_defect(text, draw(st.sampled_from(DEFECTS)), draw(st.data()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stdin_arrays())
+def test_stdin_arrays_exit_0_1_or_2_at_once(text):
+    for argv in (["verify"], ["split"], ["ramp", "audit"]):
+        code, err = run_briefly(argv, text)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert re.match(r"error: ", err)
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"OA 1 {2**62} 2\n0 1\n", f"row (0, 1) has length 2, expected {2**62}"),
+    (f"AOA 0 {2**62} {2**62} 2\n0 1\n",
+     f"row '0 1' does not have {2**62} symbols plus an augmented field"),
+    (f"OA 1 {2**62} 2\n" + "0 1\n" * 10**4, f"row (0, 1) has length 2, expected {2**62}"),
+])
+def test_huge_header_widths_fail_at_once_with_the_line_loop_message(text, message):
+    """The whole-text reader builds a header's separator pattern only when
+    the text has that many separators, so these go to the line loop."""
+    assert run_briefly(["verify"], text) == (2, f"error: {message}\n")

@@ -529,6 +529,23 @@ def test_rows_are_canonicalized():
     assert a.rows == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
+@pytest.mark.parametrize("v", [2, 3, 1000, 2**31, 2**62, 2**63])
+@pytest.mark.parametrize("rows,width", [(0, 5), (1, 70), (40, 1), (60, 3), (60, 70), (30, 130)])
+def test_canonical_grid_matches_a_lexsort_over_every_column(v, rows, width):
+    """Packed base-v keys give the same rows and the same stable permutation
+    as sorting on every column; rows are drawn from a small pool, so most
+    occur more than once, and the pool holds the all-zero and all-(v-1) rows."""
+    rng = np.random.default_rng(rows * width)
+    pool = rng.integers(0, v - 1, size=(8, width), dtype=np.int64, endpoint=True)
+    pool[0], pool[1] = 0, v - 1
+    grid = pool[rng.integers(0, len(pool), size=rows)]
+    expected = np.lexsort(grid.T[::-1])
+    for given in (grid, grid.tolist()):
+        canonical, order = designs._canonical_grid(given, width, v)
+        assert order.tolist() == expected.tolist()
+        assert np.array_equal(canonical, grid[expected])
+
+
 def test_text_format_round_trips():
     oa = oa_from_generator(rs_generator(GF(3), 2), 2)
     text = dump_array(oa)

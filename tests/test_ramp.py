@@ -227,6 +227,21 @@ def test_deal_weight_proportional_selection():
     assert hits.count(1) == 20  # the 10^9-weight rule wins every draw
 
 
+@pytest.mark.parametrize("n,v", [(2, 2), (70, 2), (3, 2**40)])
+def test_weights_follow_their_rules_into_canonical_order(n, v):
+    """Rules given out of order, each with its own weight: the scheme keeps
+    each weight with its rule.  At n=70 over GF(2) a rule's row spans two
+    sort keys."""
+    m = min(8, 2**n)
+    shares = [tuple((i >> b) % 2 * (v - 1) for b in range(n)) for i in range(m)]
+    rules = [(shares[i], (i % 2,)) for i in sorted(range(m), key=lambda i: (5 * i + 3) % m)]
+    weights = [10 + i for i in range(len(rules))]
+    sch = RampScheme(0, 1, n, v, rules, weights=weights)
+    by_row = {r[0] + r[1]: w for r, w in zip(rules, weights)}
+    assert list(sch.weights) == [by_row[row] for row in sch.aoa.rows]
+    assert list(sch.weights) != weights
+
+
 def test_deal_single_rule_per_secret():
     base = oa_from_generator(rs_generator(GF(3), 2), 2)
     sch = scheme_from_aoa(aoa_merge(base, 0))  # s = 0: one rule per secret

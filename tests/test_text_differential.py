@@ -1,10 +1,15 @@
-"""Differential tests: the whole-grid text writer and the one-pass reader
+"""Differential tests: the whole-grid text writer and the whole-text reader
 against the line-by-line versions in ``oracles``.
 
 Written text must be byte-identical, for arrays of every shape, alphabets up
 to 2^63 and arrays longer than one write block.  Reading a valid text, or one
 with a single defect, must give an equal array or the same error message.
+The defects include every way a text can leave the layout ``dump_array``
+writes, which is where the reader leaves its whole-text path for its line
+loop; text in that layout must never reach the loop.
 """
+
+import random
 
 import oracles
 import pytest
@@ -21,6 +26,7 @@ from oaramp.designs import (
     rs_generator,
     shamir_matrix,
 )
+from oaramp import designs
 from oaramp.gf import GF
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -28,8 +34,8 @@ ALPHABETS = [2, 3, 10, 11, 1000, 2**62, 2**63]
 
 
 @st.composite
-def arrays(draw):
-    v = draw(st.sampled_from(ALPHABETS))
+def arrays(draw, alphabets=ALPHABETS):
+    v = draw(st.sampled_from(alphabets))
     k = draw(st.integers(1, 4))
     t = draw(st.integers(1, k))
     aug = draw(st.booleans())
@@ -66,18 +72,54 @@ def outcome(load, text):
         return type(e), str(e)
 
 
-DEFECTS = ["extra", "missing", "word", "huge", "negative", "top", "comma", "header"]
+# Defects of one symbol, of one line, or of the text's layout.
+DEFECTS = ["extra", "missing", "word", "huge", "negative", "top", "comma", "header",
+           "crlf", "tab", "double space", "leading space", "trailing space",
+           "blank before header", "blank between rows", "blank at end", "no final newline",
+           "plus", "leading zeros", "underscore", "non-ascii digit", "19 digits",
+           "space after comma"]
+# Each replaces one symbol (or one header number) with a spelling int() reads.
+SPELLINGS = {"plus": lambda x: "+" + x, "leading zeros": lambda x: "00" + x,
+             "underscore": lambda x: "1_0", "non-ascii digit": lambda x: "\u0663",
+             "19 digits": lambda x: x.zfill(19)}
 
 
-@SETTINGS
-@given(arrays(), st.sampled_from(DEFECTS), st.data())
-def test_load_matches_the_oracle_on_one_defect(a, defect, data):
-    lines = dump_array(a).splitlines()
-    if defect == "header":
+def with_defect(text, defect, data):
+    """``text``, canonical array text, with one defect drawn from ``data``."""
+    lines = text.splitlines()
+    if defect == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if defect == "blank before header":
+        return "\n" + text
+    if defect == "blank at end":
+        return text + "\n"
+    if defect == "no final newline":
+        return text[:-1]
+    if defect == "blank between rows":
+        lines.insert(data.draw(st.integers(1, max(1, len(lines) - 1))), "")
+    elif defect == "header":
         head = lines[0].split()
         head[data.draw(st.integers(1, len(head) - 1))] = data.draw(
             st.sampled_from(["0", "-1", "1", "x", str(2**64)]))
         lines[0] = " ".join(head)
+    elif defect in ("tab", "double space", "space after comma"):
+        old, new = {"tab": (" ", "\t"), "double space": (" ", "  "),
+                    "space after comma": (",", ", ")}[defect]
+        where = [n for n, ln in enumerate(lines) if old in ln]
+        if where:
+            i = data.draw(st.sampled_from(where))
+            at = data.draw(st.sampled_from([n for n, c in enumerate(lines[i]) if c == old]))
+            lines[i] = lines[i][:at] + new + lines[i][at + 1:]
+    elif defect in ("leading space", "trailing space"):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = " " + lines[i] if defect == "leading space" else lines[i] + " "
+    elif defect in SPELLINGS:
+        i = data.draw(st.integers(0, len(lines) - 1))  # the header's numbers too
+        tokens = lines[i].replace(",", " , ").split()
+        symbols = [n for n, x in enumerate(tokens) if x != ","]
+        j = data.draw(st.sampled_from(symbols[1:] if i == 0 else symbols))
+        tokens[j] = SPELLINGS[defect](tokens[j])
+        lines[i] = " ".join(tokens).replace(" , ", ",")
     elif len(lines) > 1:
         i = data.draw(st.integers(1, len(lines) - 1))
         tokens = lines[i].replace(",", " , ").split()
@@ -90,7 +132,70 @@ def test_load_matches_the_oracle_on_one_defect(a, defect, data):
             tokens[j] = "0,0"
         else:
             tokens[j] = {"word": "x", "huge": str(2**64), "negative": "-1",
-                         "top": str(a.v)}[defect]
+                         "top": lines[0].split()[-1]}[defect]
         lines[i] = " ".join(tokens).replace(" , ", ",")
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(arrays(), st.sampled_from(DEFECTS), st.data())
+def test_load_matches_the_oracle_on_one_defect(a, defect, data):
+    text = with_defect(dump_array(a), defect, data)
     assert outcome(load_array, text) == outcome(oracles.load_array, text)
+
+
+@pytest.mark.parametrize("text", [
+    "AOA 1 1 2 3\n0 1\n1 0\n",  # s = t, rows of k symbols
+    "AOA 1 1 2 3\n0 1 2\n",
+    "AOA 2 1 2 3\n0 1\n",  # s > t
+    "AOA 0 1 0 3\n2\n0\n",  # k = 0
+    "OA 1 0 3\n0\n",
+    "OA 0 1 3\n0\n1\n",
+    "OA 1 1 1\n0\n",
+    "OA 2 2 3\n",  # no rows
+    "OA 2 2 3\n\n",
+    "OA 1 2 3\n0 1\n2 2",
+    f"OA 1 2 {10**18}\n{10**18 - 1} 0\n",
+    f"OA 1 2 {10**18}\n{10**18} 0\n",
+])
+def test_load_matches_the_oracle_at_the_edges_of_the_whole_text_path(text):
+    assert outcome(load_array, text) == outcome(oracles.load_array, text)
+
+
+def shuffled(text, seed, final_newline=True):
+    head, *rows = text.splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    out = head + "".join(rows)
+    return out if final_newline else out[:-1]
+
+
+def refuse_the_line_loop(monkeypatch):
+    def loop(text):
+        raise AssertionError("canonical text reached the line loop")
+    monkeypatch.setattr(designs, "_load_lines", loop)
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("build", [
+    lambda: oa_from_generator(rs_generator(GF(3), 2), 2),
+    lambda: oa_from_generator(rs_generator(GF(2, 4), 3), 3),  # 4,096 rows
+    lambda: linear_aoa(shamir_matrix(GF(11), 2, 4, 8), 2, 4, 8),  # 14,641 rows
+    lambda: linear_aoa(shamir_matrix(GF(5), 1, 2, 4), 1, 2, 4),  # a 1-digit augmented field
+])
+def test_canonical_text_never_reaches_the_line_loop(build, final_newline, monkeypatch):
+    a = build()
+    text = shuffled(dump_array(a), seed=len(a.grid), final_newline=final_newline)
+    refuse_the_line_loop(monkeypatch)
+    assert load_array(text) == a
+
+
+@SETTINGS
+@given(arrays(alphabets=[2, 3, 10, 11, 1000, 10**18]), st.booleans(), st.integers(0, 9))
+def test_canonical_text_of_any_shape_never_reaches_the_line_loop(a, final_newline, seed):
+    """Every symbol below 10^18 has at most 18 digits; only a text with no
+    rows, whose header is the whole of it, is left to the loop."""
+    text = shuffled(dump_array(a), seed, final_newline)
+    with pytest.MonkeyPatch.context() as mp:
+        if len(a.grid):
+            refuse_the_line_loop(mp)
+        assert load_array(text) == a
