@@ -679,8 +679,11 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
 
     Every cell is written as its symbol joined with the separator after it
     (a space, a comma inside the augmented tuple, or the line's newline),
-    picked from one table of such strings by the symbol's rank among the
-    distinct symbols and the column's separator.
+    picked from one table of such strings by the symbol and the column's
+    separator.  While the alphabet is no larger than a block of cells, that
+    table is built once over all v symbols and indexed by the symbols
+    themselves; a larger alphabet (symbols up to 10^18) gets one table per
+    block over its distinct symbols, indexed by their ranks.
     """
     if isinstance(a, OrthogonalArray):
         head, seps = f"OA {a.t} {a.k} {a.v}", _separators(a.k, 0)
@@ -688,12 +691,17 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
         head, seps = f"AOA {a.s} {a.t} {a.k} {a.v}", _separators(a.k, a.aug_width)
     kinds = " ,\n"
     sep_index = np.array([kinds.index(c) for c in seps], dtype=np.int64)
+    dense = a.v <= _DUMP_ROWS * len(seps)
+    if dense:
+        size, table = a.v, [f"{x}{sep}" for sep in kinds for x in range(a.v)]
     out = [head + "\n"]
     for start in range(0, len(a.grid), _DUMP_ROWS):
         block = a.grid[start:start + _DUMP_ROWS]
-        symbols, inverse = np.unique(block, return_inverse=True)
-        table = [f"{x}{sep}" for sep in kinds for x in symbols.tolist()]
-        cells = inverse.reshape(block.shape) + sep_index * len(symbols)
+        symbols = block
+        if not dense:
+            distinct, symbols = np.unique(block, return_inverse=True)
+            size, table = len(distinct), [f"{x}{sep}" for sep in kinds for x in distinct.tolist()]
+        cells = symbols.reshape(block.shape) + sep_index * size
         out.append("".join([table[i] for i in cells.ravel().tolist()]))
     return "".join(out)
 

@@ -167,8 +167,24 @@ class RampScheme:
         secrets, self._sid = _ranks(aoa.grid, range(aoa.k, aoa.grid.shape[1]), aoa.v)
         self.secrets: tuple[tuple[int, ...], ...] = tuple(map(tuple, secrets.tolist()))
         # the rows of secret i are _by_secret[_start[i]:_start[i + 1]], ascending
-        self._by_secret = np.argsort(self._sid, kind="stable")
-        self._start = np.concatenate(([0], np.cumsum(_tally(self._sid, len(secrets))))).tolist()
+        self._by_secret, self._start = _buckets(self._sid, len(secrets))
+        self._cum_weights: dict[int, list[float]] = {}  # filled by deal, per secret
+
+    @functools.cached_property
+    def _share_index(self) -> tuple[np.ndarray, list[list[int]], list[list[int]]]:
+        """Derived data for ``reconstruct``, built on its first call: for each
+        player p (0-based), the distinct shares ``values[p]`` in ascending
+        order and ``order[p]``, the rows in stable order of p's share.  The
+        rows where p holds ``values[p][i]`` are
+        ``order[p][start[p][i]:start[p][i + 1]]``."""
+        order, values, start = [], [], []
+        for p in range(self.n):
+            shares, rank = _ranks(self.aoa.grid, [p], self.v)
+            rows, offsets = _buckets(rank, len(shares))
+            order.append(rows)
+            values.append(shares[:, 0].tolist())
+            start.append(offsets)
+        return np.stack(order), values, start
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -183,14 +199,15 @@ class RampScheme:
         return len(set(self.weights)) == 1
 
     def rules_for(self, secret: tuple[int, ...]) -> tuple[Rule, ...]:
-        return self._rules(self.aoa.grid[self._rows_of(secret)])
+        i = self._secret_id(secret)
+        return self._rules(self.aoa.grid[self._by_secret[self._start[i]:self._start[i + 1]]])
 
-    def _rows_of(self, secret: Sequence[int]) -> list[int]:
+    def _secret_id(self, secret: Sequence[int]) -> int:
         key = tuple(secret)
         i = bisect.bisect_left(self.secrets, key)
         if i == len(self.secrets) or self.secrets[i] != key:
             raise ValueError(f"unknown secret {key}")
-        return self._by_secret[self._start[i]:self._start[i + 1]].tolist()
+        return i
 
     def _rules(self, grid: np.ndarray) -> tuple[Rule, ...]:
         n = self.n
@@ -218,6 +235,18 @@ def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, n
     seen = np.zeros(place[0], dtype=bool)
     seen[key] = True
     return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
+
+
+def _buckets(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
+    """The positions of ``key`` grouped by key, each group ascending, and the
+    size + 1 offsets of the groups: the positions holding key i are
+    ``order[start[i]:start[i + 1]]``.  Keys are in [0, size); the positions
+    are int32 while they fit.  Keys narrowed to the least unsigned type that
+    holds them sort by radix when that type has 8 or 16 bits."""
+    order = np.argsort(key.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
+    if len(key) < 2**31:
+        order = order.astype(np.int32)
+    return order, np.concatenate(([0], np.cumsum(_tally(key, size)))).tolist()
 
 
 def _dense(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
@@ -309,16 +338,22 @@ def deal(sch: RampScheme, secret: Sequence[int], seed: int) -> ShareBundle:
 
     Selection uses ``random.Random(seed)`` (Mersenne Twister), so the same
     seed always picks the same rule; reproducibility is the point here, not
-    entropy quality.
+    entropy quality.  It reads the secret's bucket of rows and their running
+    weight sums, kept from the secret's first deal: the sums that
+    ``random.choices`` would accumulate from the weights, so every seed picks
+    the rule it would pick from the weights themselves.
     """
-    indices = sch._rows_of(secret)
+    i = sch._secret_id(secret)
+    lo, hi = sch._start[i], sch._start[i + 1]
     rng = random.Random(seed)
-    if len(indices) == 1:
-        chosen = indices[0]
-    else:
-        weights = [sch.weights[i] for i in indices]
-        chosen = rng.choices(indices, weights=weights, k=1)[0]
-    shares = sch.aoa.grid[chosen, :sch.n].tolist()
+    pick = 0
+    if hi - lo > 1:
+        cum = sch._cum_weights.get(i)
+        if cum is None:
+            rows = sch._by_secret[lo:hi].tolist()
+            cum = sch._cum_weights[i] = list(itertools.accumulate(sch.weights[r] for r in rows))
+        pick = rng.choices(range(hi - lo), cum_weights=cum, k=1)[0]
+    shares = sch.aoa.grid[sch._by_secret[lo + pick], :sch.n].tolist()
     return ShareBundle({j + 1: x for j, x in enumerate(shares)})
 
 
@@ -339,15 +374,32 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     inconsistent with the scheme; more than one consistent secret cannot
     happen for a valid scheme and is therefore reported as an integrity
     failure rather than a user error.
+
+    It reads the smallest of the bundle's share buckets (the rows where one
+    player holds its share, from the scheme's share index), keeps the rows
+    that agree with every other share, and reads their secrets.
     """
     if len(shares) < sch.t:
         raise ValueError(f"need at least t={sch.t} shares, got {len(shares)}")
-    match = np.ones(len(sch.weights), dtype=bool)
-    for p, x in shares.items():
+    pairs = shares.items()
+    for p, _ in pairs:
         if p > sch.n:
             raise ValueError(f"player index {p} exceeds n={sch.n}")
-        match &= sch.aoa.grid[:, p - 1] == x
-    found = np.flatnonzero(_tally(sch._sid[match], len(sch.secrets))).tolist()
+    order, values, start = sch._share_index
+    buckets = []  # (size, player, first offset) of each share's bucket
+    for p, x in pairs:
+        known = values[p - 1]
+        i = bisect.bisect_left(known, x)
+        if i == len(known) or known[i] != x:
+            return ReconstructionResult("no_matching_rule")
+        lo, hi = start[p - 1][i], start[p - 1][i + 1]
+        buckets.append((hi - lo, p, lo))
+    size, first, lo = min(buckets)
+    rows = order[first - 1, lo:lo + size]
+    for p, x in pairs:
+        if p != first:
+            rows = rows[sch.aoa.grid[rows, p - 1] == x]
+    found = np.flatnonzero(_tally(sch._sid[rows], len(sch.secrets))).tolist()
     if not found:
         return ReconstructionResult("no_matching_rule")
     if len(found) > 1:

@@ -15,7 +15,9 @@ checked against their ``np.unique`` fallback by lowering the table limit.
 
 import dataclasses
 import itertools
+import random
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -46,6 +48,7 @@ from oaramp.ramp import (
     deal,
     reconstruct,
     scheme_from_aoa,
+    scheme_shamir,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -360,11 +363,15 @@ def test_ranks_of_no_columns_over_an_alphabet_past_int64():
     assert projs.shape == (1, 0) and projs.dtype == np.int64 and rank.tolist() == [0, 0, 0]
 
 
-@SETTINGS
-@given(schemes, st.data())
-def test_reconstruct_matches_oracle(sch, data):
+def check_reconstruct(sch, data):
+    """A bundle of t..n players, its lowest player any index that leaves room
+    for the rest, holding one rule's shares: as they are, one shifted by one,
+    all random, or one (at any position) outside [0, v)."""
     rules = sch.rules
-    players = data.draw(st.lists(st.integers(1, sch.n), min_size=sch.t, unique=True))
+    size = data.draw(st.integers(sch.t, sch.n))
+    lowest = data.draw(st.integers(1, sch.n - size + 1))
+    rest = data.draw(st.permutations(range(lowest + 1, sch.n + 1)))[:size - 1]
+    players = [lowest, *rest]
     base = data.draw(st.sampled_from(rules)).shares
     values = [base[p - 1] for p in players]
     kind = data.draw(st.sampled_from(["valid", "shifted", "random", "out-of-range"]))
@@ -374,9 +381,24 @@ def test_reconstruct_matches_oracle(sch, data):
     elif kind == "random":
         values = [data.draw(st.integers(0, sch.v - 1)) for _ in players]
     elif kind == "out-of-range":
-        values[0] = data.draw(st.sampled_from([-1, sch.v, 10**20]))
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = data.draw(st.sampled_from([-1, sch.v, 10**20]))
     bundle = ShareBundle(dict(zip(players, values)))
     assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
+
+
+@SETTINGS
+@given(schemes, st.data())
+def test_reconstruct_matches_oracle(sch, data):
+    check_reconstruct(sch, data)
+
+
+@SETTINGS
+@given(random_rule_tables(), st.data())
+def test_reconstruct_on_uneven_share_buckets_matches_oracle(sch, data):
+    """Random rule tables: non-ideal, with share buckets of unequal sizes, so
+    the smallest bucket is often not the lowest player's."""
+    check_reconstruct(sch, data)
 
 
 @SETTINGS
@@ -387,6 +409,23 @@ def test_deal_matches_oracle(sch, seed):
         assert plain(deal(sch, secret, seed).items()) == oracles.deal(sch, secret, seed).items()
 
 
+# Weights whose running sums round: summed in another order, or taken as
+# differences of longer sums, they pick other rules (1e16 swallows the rest).
+FLOAT_WEIGHTS = (0.1, 1 / 3, 2.5, 1e-3, 7.0, 1e16)
+
+
+@SETTINGS
+@given(schemes, st.data(), st.lists(st.integers(0, 2**64), min_size=1, max_size=8))
+def test_deal_with_float_weights_matches_oracle(sch, data, seeds):
+    weights = data.draw(st.lists(st.sampled_from(FLOAT_WEIGHTS), min_size=len(sch.weights),
+                                 max_size=len(sch.weights)))
+    sch = RampScheme(sch.s, sch.t, sch.n, sch.v, sch.rules, weights)
+    for seed in seeds:
+        for secret in sch.secrets:
+            want = oracles.deal(sch, secret, seed).items()
+            assert plain(deal(sch, secret, seed).items()) == want
+
+
 def test_reconstruct_reports_every_ambiguous_candidate():
     rules = [((0, 0, x), (x % 3,)) for x in range(3)] + [((1, 1, 1), (0,))]
     sch = RampScheme(1, 2, 3, 3, rules)
@@ -394,3 +433,42 @@ def test_reconstruct_reports_every_ambiguous_candidate():
     got = reconstruct(sch, bundle)
     assert got == oracles.reconstruct(sch, bundle)
     assert got.status == "ambiguous" and got.candidates == ((0,), (1,), (2,))
+
+
+@pytest.fixture(scope="module")
+def full_size():
+    """The GF(11) s=2 t=4 n=8 Shamir scheme (14,641 rules, 121 per secret),
+    the same rules with float weights, and stand-ins that hand the oracles
+    each scheme's rules as one tuple, read once."""
+    sch = scheme_shamir(field_for_order(11), 2, 4, 8)
+    weighted = RampScheme(2, 4, 8, 11, sch.rules,
+                          [FLOAT_WEIGHTS[i % 5] for i in range(len(sch.weights))])
+    return [(x, SimpleNamespace(rules=x.rules, weights=x.weights, t=x.t, n=x.n))
+            for x in (sch, weighted)]
+
+
+def test_full_size_scheme_matches_oracles(full_size):
+    """Seeded deals from both schemes, then t shares of the deal, t+1 shares
+    with one changed, or a random bundle of t..n shares."""
+    (sch, view), (weighted, weighted_view) = full_size
+    rng = random.Random(11)
+    for i in range(200):
+        secret, seed = rng.choice(sch.secrets), rng.getrandbits(32)
+        assert (plain(deal(weighted, secret, seed).items())
+                == oracles.deal(weighted_view, secret, seed).items())
+        shares = deal(sch, secret, seed)
+        assert plain(shares.items()) == oracles.deal(view, secret, seed).items()
+        if i % 3 == 0:
+            bundle = shares.restrict(rng.sample(range(1, 9), 4))
+        elif i % 3 == 1:
+            pairs = dict(shares.restrict(rng.sample(range(1, 9), 5)).items())
+            p = rng.choice(sorted(pairs))
+            pairs[p] = (pairs[p] + rng.randrange(1, 11)) % 11
+            bundle = ShareBundle(pairs)
+        else:
+            players = rng.sample(range(1, 9), rng.randint(4, 8))
+            bundle = ShareBundle({p: rng.randrange(11) for p in players})
+        got = reconstruct(sch, bundle)
+        assert plain(got) == oracles.reconstruct(view, bundle)
+        if i % 3 == 0:
+            assert got.secret == secret

@@ -2,6 +2,8 @@
 and the two transform directions between schemes and augmented arrays."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 
@@ -286,6 +288,8 @@ def test_reconstruct_inconsistent_and_errors():
         reconstruct(sch, ShareBundle({1: 0}))  # fewer than t shares
     with pytest.raises(ValueError):
         reconstruct(sch, ShareBundle({1: 0, 7: 0}))  # player out of range
+    with pytest.raises(ValueError):  # even after a share no rule holds
+        reconstruct(sch, ShareBundle({1: 99, 7: 0}))
 
 
 def test_reconstruct_reports_ambiguity_as_integrity_failure():
@@ -293,6 +297,40 @@ def test_reconstruct_reports_ambiguity_as_integrity_failure():
     result = reconstruct(corrupt, ShareBundle({1: 0, 2: 0}))
     assert result.status == "ambiguous"
     assert result.candidates == ((0,), (1,))
+
+
+def test_threads_building_the_lazy_tables_at_once_get_sequential_results():
+    """Threads dealing and reconstructing on one fresh scheme build its share
+    index and deal table together; each must see what one thread sees."""
+    def weighted():
+        sch = scheme_shamir(GF(7), 1, 3, 5)
+        return RampScheme(1, 3, 5, 7, sch.rules, [1 + i % 3 for i in range(len(sch.rules))])
+
+    def work(sch):
+        out = []
+        for seed, secret in enumerate(sch.secrets):
+            shares = deal(sch, secret, seed)
+            out.append((shares, reconstruct(sch, shares.restrict([1, 3, 5]))))
+        return out
+
+    expected = work(weighted())
+    sch, results = weighted(), [None] * 4
+
+    def run(i):
+        results[i] = work(sch)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 4
 
 
 # --- audit ------------------------------------------------------------------------

@@ -65,6 +65,16 @@ def test_dump_of_arrays_longer_than_one_block(build):
     assert load_array(text) == a
 
 
+@SETTINGS
+@given(arrays(), st.sampled_from([1, 3]))
+def test_dump_in_small_blocks_is_byte_identical(a, rows):
+    """Blocks of one or three rows put the larger alphabets past the
+    whole-alphabet table, so both tables write arrays of several blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_DUMP_ROWS", rows)
+        assert dump_array(a) == oracles.dump_array(a)
+
+
 def outcome(load, text):
     try:
         return load(text)
