@@ -36,29 +36,25 @@ from .designs import (
 )
 from .errors import CapExceeded, ConstructionError, SchemeError
 from .gf import GF, field_for_order
-from .linalg import Matrix, columns_independent, rank, row_space
+from .linalg import Matrix, row_space
 from .ramp import (
     AuditReport,
-    IdealBoundVerdict,
     RampScheme,
     ReconstructionResult,
-    Rule,
     ShareBundle,
     aoa_from_scheme,
     audit_security,
     deal,
     format_bundle,
-    ideal_bound_check,
     parse_bundle,
     reconstruct,
     scheme_from_aoa,
     scheme_shamir,
-    strongness,
 )
 
 __all__ = [
     "GF", "field_for_order",
-    "Matrix", "rank", "columns_independent", "row_space",
+    "Matrix", "row_space",
     "OrthogonalArray", "AugmentedOA", "VerifyResult", "Witness",
     "verify_oa", "verify_mds", "verify_aoa",
     "rs_generator", "oa_from_generator", "linear_aoa", "shamir_matrix",
@@ -66,10 +62,9 @@ __all__ = [
     "bush_bound", "mds_max", "BoundVerdict",
     "nonexistence_witness", "NonexistenceReport", "THM48", "THM410", "demo_aoa_1333",
     "dump_array", "load_array",
-    "RampScheme", "Rule", "ShareBundle", "scheme_from_aoa", "aoa_from_scheme",
+    "RampScheme", "ShareBundle", "scheme_from_aoa", "aoa_from_scheme",
     "scheme_shamir", "deal", "reconstruct", "ReconstructionResult",
-    "audit_security", "AuditReport", "ideal_bound_check", "IdealBoundVerdict",
-    "strongness", "format_bundle", "parse_bundle",
+    "audit_security", "AuditReport", "format_bundle", "parse_bundle",
     "CapExceeded", "ConstructionError", "SchemeError",
 ]
 

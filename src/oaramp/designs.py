@@ -27,6 +27,7 @@ from .gf import GF, factor_prime_power, field_for_order
 from .linalg import (
     DEFAULT_CELL_CAP,
     Matrix,
+    _cells_over,
     _check_row_space_cap,
     first_dependent,
     kernel_vector,
@@ -124,7 +125,9 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
     The sort is one stable ``np.lexsort`` over base-v keys of column blocks,
     c columns to a key with c the largest such that v^c <= 2^63 (one column
     for larger v), so it gives the order and ``order`` of a lexsort over
-    every column."""
+    every column.  Fewer than two rows are already in order, and are not
+    keyed: the key loop's cost grows with the width, which a header alone
+    can make huge."""
     if v < 2:
         raise ValueError(f"alphabet size must be >= 2, got {v}")
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.int64:
@@ -142,17 +145,19 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
             raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
     if grid.size and not 0 <= grid.min() <= grid.max() < v:
         raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
-    c = 1
-    while v ** (c + 1) <= 2**63:
-        c += 1
-    keys = []
-    for start in reversed(range(0, width, c)):  # lexsort's last key is its first
-        key = grid[:, start].copy()
-        for column in grid.T[start + 1:start + c]:
-            key *= v
-            key += column
-        keys.append(key)
-    order = np.lexsort(keys)
+    order = np.arange(len(grid))
+    if len(grid) > 1:
+        c = 1
+        while v ** (c + 1) <= 2**63:
+            c += 1
+        keys = []
+        for start in reversed(range(0, width, c)):  # lexsort's last key is its first
+            key = grid[:, start].copy()
+            for column in grid.T[start + 1:start + c]:
+                key *= v
+                key += column
+            keys.append(key)
+        order = np.lexsort(keys)
     grid = grid[order]
     grid.setflags(write=False)
     return grid, order
@@ -192,10 +197,17 @@ class VerifyResult:
         return self.ok
 
 
-def _check_caps(cells: int, subset_counts: list[int], max_cells: int, max_subsets: int) -> None:
-    if cells > max_cells:
+def _check_caps(v: int, t: int, width: int, k: int, sizes: Sequence[int],
+                max_cells: int, max_subsets: int) -> None:
+    """Reject work on a v^t x width grid past ``max_cells``, then work on the
+    C(k, size) column subsets, for each of ``sizes``, past ``max_subsets``.
+    Each count is computed only once the ones before it fit, so the numbers
+    of an array header cannot make the arithmetic itself slow."""
+    cells = _cells_over(v, t, width, max_cells)
+    if cells is not None:
         raise CapExceeded(f"verification needs {cells} cells, cap is {max_cells}")
-    for n in subset_counts:
+    for size in sizes:
+        n = math.comb(k, size)
         if n > max_subsets:
             raise CapExceeded(f"verification needs {n} column subsets, cap is {max_subsets}")
 
@@ -264,7 +276,7 @@ def verify_oa(a: OrthogonalArray,
     over [0, v-1] exactly once; the first failure, by subset order and then
     by tuple order, becomes the witness.
     """
-    _check_caps(a.expected_rows * a.k, [math.comb(a.k, a.t)], max_cells, max_subsets)
+    _check_caps(a.v, a.t, a.k, a.k, [a.t], max_cells, max_subsets)
     return _coverage_scan(a, [(a.t, (), "column_subset")])
 
 
@@ -274,7 +286,7 @@ def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
     This is the code-view counterpart of verify_oa and is computed
     independently of it, by actual distance enumeration.
     """
-    _check_caps(a.expected_rows * a.k, [], max_cells, DEFAULT_SUBSET_CAP)
+    _check_caps(a.v, a.t, a.k, a.k, [], max_cells, DEFAULT_SUBSET_CAP)
     need = a.k - a.t + 1
     for i in range(len(a.grid) - 1):
         dist = (a.grid[i + 1:] != a.grid[i]).sum(axis=1)
@@ -294,9 +306,7 @@ def verify_aoa(a: AugmentedOA,
     bijection onto Y.  Condition (ii) is strength-t coverage on the s plain
     columns plus the t-s augmented digit columns, so both use one check.
     """
-    _check_caps(a.expected_rows * (a.k + 1),
-                [math.comb(a.k, a.t), math.comb(a.k, a.s)],
-                max_cells, max_subsets)
+    _check_caps(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells, max_subsets)
     aug = tuple(range(a.k, a.k + a.aug_width))
     return _coverage_scan(a, [(a.t, (), "column_subset"), (a.s, aug, "augmented_subset")])
 
@@ -346,7 +356,7 @@ def oa_from_generator(m: Matrix, t: int, max_cells: int = DEFAULT_CELL_CAP) -> O
     if m.cols < t:
         raise ValueError(f"generator needs at least t={t} columns, has {m.cols}")
     _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
-    _check_caps(0, [math.comb(m.cols, t)], max_cells, DEFAULT_SUBSET_CAP)
+    _check_caps(m.field.q, t, m.cols, m.cols, [t], max_cells, DEFAULT_SUBSET_CAP)
     _check_subsets_independent(m, itertools.combinations(range(m.cols), t), "strength")
     return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
 
@@ -365,7 +375,7 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
             f"matrix must be {t}x{k + t - s} for AOA({s},{t},{k},{m.field.q}), "
             f"is {m.rows}x{m.cols}")
     _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
-    _check_caps(0, [math.comb(k, t), math.comb(k, s)], max_cells, DEFAULT_SUBSET_CAP)
+    _check_caps(m.field.q, t, m.cols, k, [t, s], max_cells, DEFAULT_SUBSET_CAP)
     tail = tuple(range(k, k + t - s))
     _check_subsets_independent(
         m, itertools.combinations(range(k), t), "plain-strength")

@@ -182,8 +182,9 @@ def _orbit_of_one(times: np.ndarray, n: int) -> np.ndarray:
 class GF:
     """The finite field GF(p^j), operating on integer-encoded elements.
 
-    The methods ``add``/``sub``/``neg``/``mul``/``inv``/``pow`` take and
-    return integer encodings; there is no element type.
+    The methods ``add``/``neg``/``mul``/``inv``/``pow`` take and return
+    integer encodings, and ``coeffs`` reads an encoding's coefficient vector;
+    there is no element type.
     """
 
     __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_zech",
@@ -259,12 +260,6 @@ class GF:
             a //= self.p
         return tuple(out)
 
-    def encode(self, coeffs: tuple[int, ...]) -> int:
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
-
     def _check(self, a: int) -> int:
         if not 0 <= a < self.q:
             raise ValueError(f"{a} is not an element encoding in GF({self.q})")
@@ -283,9 +278,6 @@ class GF:
     def neg(self, a: int) -> int:
         self._check(a)
         return self._exp[self._log[a] + self._log[self.p - 1]]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)

@@ -1,11 +1,12 @@
-"""Dense matrices over GF(q): rank, column-subset independence, row-space enumeration.
+"""Dense matrices over GF(q): column-subset independence, kernel vectors,
+row-space enumeration.
 
 A matrix holds one read-only int64 grid of element encodings (see ``gf``),
 as the arrays of ``designs`` do.  All pivoting scans top-to-bottom for the
 first nonzero entry, so every result is deterministic; exact field
-arithmetic has no stability concerns.  Rank, independence and kernel vectors
-all come from one elimination kernel that reduces a whole stack of matrices
-at once with the field's array arithmetic.
+arithmetic has no stability concerns.  Independence and kernel vectors both
+come from one elimination kernel, ``_reduce``, that reduces a whole stack of
+matrices at once with the field's array arithmetic and returns their ranks.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ def _reduce(field: GF, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, a
 
 
-def rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination over the matrix's field."""
-    ranks, _ = _reduce(m.field, m.entries[None])
-    return int(ranks[0])
-
-
 def first_dependent(m: Matrix, subsets: Iterable[tuple[int, ...]]) -> tuple[int, ...] | None:
     """The first of ``subsets`` (tuples of column indices, all of one length)
     whose columns are linearly dependent, or None.  The subsets are reduced in
@@ -122,18 +117,6 @@ def first_dependent(m: Matrix, subsets: Iterable[tuple[int, ...]]) -> tuple[int,
         if bad.size:
             return block[bad[0]]
     return None
-
-
-def columns_independent(m: Matrix, idx: Sequence[int]) -> bool:
-    """True iff the selected columns are linearly independent (vacuously for [])."""
-    seen = set()
-    for c in idx:
-        if not 0 <= c < m.cols:
-            raise IndexError(f"column index {c} out of range for {m.cols} columns")
-        if c in seen:
-            raise ValueError(f"duplicate column index {c}")
-        seen.add(c)
-    return first_dependent(m, [tuple(idx)]) is None
 
 
 def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -156,13 +139,26 @@ def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] |
     return tuple(x.tolist())
 
 
+def _cells_over(q: int, rows: int, cols: int, cap: int) -> int | str | None:
+    """None if a q^rows x cols grid fits in ``cap`` cells; else its cell count
+    for a message, exact below 10^20 and past that the formula ``q^rows*cols``.
+    The power is multiplied out only until it passes max(cap, 10^20), so a
+    huge exponent (an array header, say) costs a few steps, not its digits."""
+    total, limit = cols, max(cap, 10**20)
+    for _ in range(rows):
+        if total > limit:
+            break
+        total *= q
+    if total <= cap:
+        return None
+    return total if total < 10**20 else f"{q}^{rows}*{cols}"
+
+
 def _check_row_space_cap(q: int, rows: int, cols: int, max_cells: int) -> None:
     """Reject the row space of a rows x cols matrix over GF(q) if its q^rows x cols
     grid exceeds the cap; callers check the shape before building the matrix."""
-    total = q**rows * cols
-    if total > max_cells:
-        # a count past 20 digits is written as its formula: it may not even print
-        cells = total if total < 10**20 else f"{q}^{rows}*{cols}"
+    cells = _cells_over(q, rows, cols, max_cells)
+    if cells is not None:
         raise CapExceeded(
             f"row space of {rows}x{cols} matrix over GF({q}) needs {cells} cells, "
             f"cap is {max_cells}"
@@ -173,7 +169,7 @@ def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
     """All q^rows products u @ m, for u in ascending base-q order (u[0] most
     significant), as a read-only (q^rows, cols) int64 grid.
 
-    Duplicates appear exactly when rank(m) < m.rows.  The grid grows one
+    Duplicates appear exactly when m's rank is below m.rows.  The grid grows one
     generator row at a time: each of its rows is added to every multiple of
     the next generator row, in one broadcast over the field's array arithmetic.
     """

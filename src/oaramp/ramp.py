@@ -26,10 +26,8 @@ import numpy as np
 
 from .designs import (
     AugmentedOA,
-    SplitResult,
     _canonical_grid,
     _tally,
-    aoa_split,
     linear_aoa,
     shamir_matrix,
     verify_aoa,
@@ -43,14 +41,6 @@ DEFAULT_AUDIT_WORK_CAP = 10**7
 # The largest table, in cells, that the counting helpers below index densely;
 # above it they fall back to np.unique.
 _DENSE_CELLS = 2**24
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One distribution rule: a full share vector tagged with its secret."""
-
-    shares: tuple[int, ...]
-    secret: tuple[int, ...]
 
 
 class ShareBundle:
@@ -72,19 +62,8 @@ class ShareBundle:
         pairs.sort()
         self._pairs = tuple(pairs)
 
-    @property
-    def assignments(self) -> dict[int, int]:
-        return dict(self._pairs)
-
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
-
-    def players(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._pairs)
-
-    def restrict(self, players: Iterable[int]) -> "ShareBundle":
-        keep = set(players)
-        return ShareBundle([(p, x) for p, x in self._pairs if p in keep])
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -121,25 +100,26 @@ class RampScheme:
 
     The rules are the rows of ``aoa`` (k = n players) in canonical order:
     ascending share vector, then secret.  ``weights[i]`` belongs to row i.
+    The constructor takes the rules as (shares, secret) pairs.
     """
 
     def __init__(self, s: int, t: int, n: int, v: int,
-                 rules: Iterable[Rule | tuple[Sequence[int], Sequence[int]]],
+                 rules: Iterable[tuple[Sequence[int], Sequence[int]]],
                  weights: Sequence[float] | None = None):
         if not 0 <= s < t <= n:
             raise SchemeError(f"need 0 <= s < t <= n, got s={s}, t={t}, n={n}")
         if v < 2:
             raise SchemeError(f"share alphabet must have >= 2 symbols, got {v}")
         rows = []
-        for r in rules:
-            if not isinstance(r, Rule):
-                r = Rule(tuple(r[0]), tuple(r[1]))
-            if len(r.shares) != n:
-                raise SchemeError(f"rule {r} does not assign shares to all {n} players")
-            if len(r.secret) != t - s:
+        for shares, secret in rules:
+            shares, secret = tuple(shares), tuple(secret)
+            if len(shares) != n:
                 raise SchemeError(
-                    f"secret {r.secret} is not a ({t - s})-tuple over [0, {v - 1}]")
-            rows.append(r.shares + r.secret)
+                    f"rule {shares, secret} does not assign shares to all {n} players")
+            if len(secret) != t - s:
+                raise SchemeError(
+                    f"secret {secret} is not a ({t - s})-tuple over [0, {v - 1}]")
+            rows.append(shares + secret)
         if not rows:
             raise SchemeError("a scheme needs at least one rule")
         if weights is None:
@@ -187,8 +167,11 @@ class RampScheme:
         return np.stack(order), values, start
 
     @property
-    def rules(self) -> tuple[Rule, ...]:
-        return self._rules(self.aoa.grid)
+    def rules(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The rules as (shares, secret) pairs of Python ints, in canonical
+        order, built from the grid on each access."""
+        n = self.n
+        return tuple((tuple(r[:n]), tuple(r[n:])) for r in self.aoa.grid.tolist())
 
     @property
     def is_ideal(self) -> bool:
@@ -198,20 +181,12 @@ class RampScheme:
     def has_uniform_weights(self) -> bool:
         return len(set(self.weights)) == 1
 
-    def rules_for(self, secret: tuple[int, ...]) -> tuple[Rule, ...]:
-        i = self._secret_id(secret)
-        return self._rules(self.aoa.grid[self._by_secret[self._start[i]:self._start[i + 1]]])
-
     def _secret_id(self, secret: Sequence[int]) -> int:
         key = tuple(secret)
         i = bisect.bisect_left(self.secrets, key)
         if i == len(self.secrets) or self.secrets[i] != key:
             raise ValueError(f"unknown secret {key}")
         return i
-
-    def _rules(self, grid: np.ndarray) -> tuple[Rule, ...]:
-        n = self.n
-        return tuple(Rule(tuple(r[:n]), tuple(r[n:])) for r in grid.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RampScheme):
@@ -525,37 +500,3 @@ def audit_security(sch: RampScheme,
     return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
                        subsets_checked=base_subsets + bijection_subsets,
                        groups_checked=groups, failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# bounds and strongness
-
-
-@dataclass(frozen=True)
-class IdealBoundVerdict:
-    ok: bool
-    ideal: bool
-    bound: int
-    secret_count: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def ideal_bound_check(s: int, t: int, n: int, v: int, secret_count: int) -> IdealBoundVerdict:
-    """Check a secret count against the v^(t-s) ceiling; equality means ideal."""
-    if not 0 <= s < t <= n:
-        raise ValueError(f"need 0 <= s < t <= n, got s={s}, t={t}, n={n}")
-    if v < 2:
-        raise ValueError(f"share alphabet must have >= 2 symbols, got {v}")
-    bound = v ** (t - s)
-    return IdealBoundVerdict(secret_count <= bound, secret_count == bound,
-                             bound, secret_count)
-
-
-def strongness(sch: RampScheme, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
-    """Test whether the scheme is strong, in the operational sense used here:
-    its rule array, with the secret tuple expanded into plain columns, must
-    be a full strength-t orthogonal array.  Only the canonical tuple encoding
-    of secrets is considered."""
-    return aoa_split(aoa_from_scheme(sch, max_cells), max_cells)

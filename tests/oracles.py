@@ -5,17 +5,19 @@ in ``oaramp``.
 Each function is the earlier pure-Python version, unchanged in logic: dict
 and ``Counter`` counting over row tuples, the ``itertools.product`` scan for
 the first offending tuple, the two grouping loops of the security audit,
-the reconstruction scan over every rule and the rule pick of dealing.  They read arrays only through
-``.rows`` and schemes only through ``.rules``, ``.weights`` and
-``.secrets``, and return the library's own result types, so a test can
-require equal results field by field.  The field operations multiply
-coefficient polynomials and reduce them by the field's reducing polynomial,
-add base-p digit by digit, and use only ``p``, ``j``, ``q``, ``coeffs``,
-``encode`` and ``reducing_poly`` of a ``GF``; ``row_space`` is the
+the reconstruction scan over every rule and the rule pick of dealing.  They
+read arrays only through ``.rows`` and schemes only through ``.rules`` (its
+(shares, secret) pairs), ``.weights`` and ``.secrets``, and return the
+library's own result types, so a test can require equal results field by
+field.  The field operations multiply coefficient polynomials and reduce them
+by the field's reducing polynomial, add base-p digit by digit, and use only
+``p``, ``j``, ``q``, ``coeffs`` and ``reducing_poly`` of a ``GF``, encoding
+a coefficient vector with their own ``_encode``; ``row_space`` is the
 one-product-at-a-time enumeration over them.  ``_rref`` is the scalar
-Gaussian elimination, one matrix and one ``GF`` call at a time, behind the
-oracle ``rank``, ``columns_independent``, ``kernel_vector`` and
-``first_dependent``; ``is_prime`` and ``factor_prime_power`` trial-divide.
+Gaussian elimination, one matrix at a time, with the ``GF``'s ``mul`` and
+``inv`` and the oracle's own subtraction, behind the oracle ``rank``,
+``columns_independent``, ``kernel_vector`` and ``first_dependent``;
+``is_prime`` and ``factor_prime_power`` trial-divide.
 ``dump_array`` joins the strings of each row's symbols; ``load_array`` calls
 ``int()`` per token and hands the constructor lists of rows.
 """
@@ -94,12 +96,15 @@ def field_neg(f, a: int) -> int:
     return out
 
 
+def _encode(f, coeffs: tuple[int, ...]) -> int:
+    return sum(c * f.p**i for i, c in enumerate(coeffs))
+
+
 def field_mul(f, a: int, b: int) -> int:
     if f.j == 1:
         return (a * b) % f.p
     prod = _poly_mul(f.coeffs(a), f.coeffs(b), f.p)
-    red = _poly_mod(prod, f.reducing_poly, f.p)
-    return f.encode(red + (0,) * (f.j - len(red)))
+    return _encode(f, _poly_mod(prod, f.reducing_poly, f.p))
 
 
 def field_pow(f, a: int, e: int) -> int:
@@ -162,7 +167,8 @@ def _rref(field, grid: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         for i in range(n_rows):
             if i != r and grid[i][c] != 0:
                 f = grid[i][c]
-                grid[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(grid[i], grid[r])]
+                grid[i] = [field_add(field, x, field_neg(field, field.mul(f, y)))
+                           for x, y in zip(grid[i], grid[r])]
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -256,7 +262,7 @@ def _projection_counts(rows, cols: tuple[int, ...]) -> Counter:
 def verify_oa(a: OrthogonalArray,
               max_cells: int = DEFAULT_CELL_CAP,
               max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
-    _check_caps(a.expected_rows * a.k, [math.comb(a.k, a.t)], max_cells, max_subsets)
+    _check_caps(a.v, a.t, a.k, a.k, [a.t], max_cells, max_subsets)
     rows = a.rows
     if len(rows) != a.expected_rows:
         return VerifyResult(False, Witness(
@@ -272,9 +278,7 @@ def verify_oa(a: OrthogonalArray,
 def verify_aoa(a: AugmentedOA,
                max_cells: int = DEFAULT_CELL_CAP,
                max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
-    _check_caps(a.expected_rows * (a.k + 1),
-                [math.comb(a.k, a.t), math.comb(a.k, a.s)],
-                max_cells, max_subsets)
+    _check_caps(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells, max_subsets)
     rows = a.rows
     if len(rows) != a.expected_rows:
         return VerifyResult(False, Witness(
@@ -330,9 +334,9 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
         if p > sch.n:
             raise ValueError(f"player index {p} exceeds n={sch.n}")
     found: set[tuple[int, ...]] = set()
-    for rule in sch.rules:
-        if all(rule.shares[p - 1] == x for p, x in pairs):
-            found.add(rule.secret)
+    for rule_shares, secret in sch.rules:
+        if all(rule_shares[p - 1] == x for p, x in pairs):
+            found.add(secret)
     if not found:
         return ReconstructionResult("no_matching_rule")
     if len(found) > 1:
@@ -361,10 +365,10 @@ def audit_security(sch: RampScheme,
         for subset in itertools.combinations(range(n), size):
             players = tuple(p + 1 for p in subset)
             by_proj: dict[tuple[int, ...], dict[tuple[int, ...], float]] = defaultdict(dict)
-            for rule, w in zip(rules, sch.weights):
-                proj = tuple(rule.shares[p] for p in subset)
+            for (shares, secret), w in zip(rules, sch.weights):
+                proj = tuple(shares[p] for p in subset)
                 per_secret = by_proj[proj]
-                per_secret[rule.secret] = per_secret.get(rule.secret, 0) + w
+                per_secret[secret] = per_secret.get(secret, 0) + w
             for proj in sorted(by_proj):
                 groups += 1
                 per_secret = by_proj[proj]
@@ -391,10 +395,10 @@ def audit_security(sch: RampScheme,
             for p1 in itertools.combinations(rest, t - s):
                 view: dict[tuple[int, ...], dict[tuple[int, ...], set]] = defaultdict(
                     lambda: defaultdict(set))
-                for rule in rules:
-                    proj0 = tuple(rule.shares[p] for p in subset)
-                    proj1 = tuple(rule.shares[p] for p in p1)
-                    view[proj0][rule.secret].add(proj1)
+                for shares, secret in rules:
+                    proj0 = tuple(shares[p] for p in subset)
+                    proj1 = tuple(shares[p] for p in p1)
+                    view[proj0][secret].add(proj1)
                 for proj0 in sorted(view):
                     groups += 1
                     images = view[proj0]
@@ -423,7 +427,7 @@ def audit_security(sch: RampScheme,
 def deal(sch: RampScheme, secret, seed: int) -> ShareBundle:
     key = tuple(secret)
     rules = sch.rules
-    indices = [i for i, r in enumerate(rules) if r.secret == key]
+    indices = [i for i, (_, rule_secret) in enumerate(rules) if rule_secret == key]
     if not indices:
         raise ValueError(f"unknown secret {key}")
     rng = random.Random(seed)
@@ -432,7 +436,7 @@ def deal(sch: RampScheme, secret, seed: int) -> ShareBundle:
     else:
         weights = [sch.weights[i] for i in indices]
         chosen = rng.choices(indices, weights=weights, k=1)[0]
-    return ShareBundle({j + 1: x for j, x in enumerate(rules[chosen].shares)})
+    return ShareBundle({j + 1: x for j, x in enumerate(rules[chosen][0])})
 
 
 # --- text format ------------------------------------------------------------------

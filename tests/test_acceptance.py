@@ -163,10 +163,10 @@ def test_criterion_5_scheme_array_equivalence():
         # independent recount: each size-s projection admits each secret once
         for players in itertools.combinations(range(n), s):
             groups = {}
-            for rule in sch.rules:
-                proj = tuple(rule.shares[p] for p in players)
+            for shares, secret in sch.rules:
+                proj = tuple(shares[p] for p in players)
                 per = groups.setdefault(proj, {})
-                per[rule.secret] = per.get(rule.secret, 0) + 1
+                per[secret] = per.get(secret, 0) + 1
             for per in groups.values():
                 assert set(per.values()) == {1}
                 assert len(per) == q ** (t - s)
@@ -232,13 +232,13 @@ def test_criterion_6_property_suites():
     ambiguous = 0
     for i in range(10_000):
         sch = schemes[i % len(schemes)]
-        rule = sch.rules[rng.randrange(len(sch.rules))]
+        shares, secret = sch.rules[rng.randrange(len(sch.rules))]
         size = rng.randint(sch.t, sch.n)
         players = rng.sample(range(1, sch.n + 1), size)
-        bundle = ShareBundle({p: rule.shares[p - 1] for p in players})
+        bundle = ShareBundle({p: shares[p - 1] for p in players})
         result = reconstruct(sch, bundle)
         if result.status == "ambiguous":
             ambiguous += 1
-        assert result.status == "ok" and result.secret == rule.secret
+        assert result.status == "ok" and result.secret == secret
     assert ambiguous == 0
     _passed(6, "property suites (axioms, round trips, no ambiguity)", started)

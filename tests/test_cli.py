@@ -206,10 +206,32 @@ def test_huge_alphabet_exits_2_without_traceback(argv, text, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def run_process(argv):
-    return subprocess.run([sys.executable, "-m", "oaramp", *argv],
+def run_process(argv, input_text=""):
+    return subprocess.run([sys.executable, "-m", "oaramp", *argv], input=input_text,
                           env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
                           capture_output=True, text=True, timeout=10)
+
+
+BIG = 99999999999999999999  # 20 digits
+
+
+@pytest.mark.parametrize("argv, text, cells", [
+    (["verify"], f"OA 1000000 1000000 {BIG}\n", f"{BIG}^1000000*1000000"),
+    (["verify"], f"AOA 0 200000 200000 {BIG}\n", f"{BIG}^200000*200001"),
+    (["split"], f"AOA 0 200000 200000 {BIG}\n", f"{BIG}^200000*200001"),
+    (["ramp", "audit"], f"AOA 0 200000 200000 {BIG}\n", f"{BIG}^200000*200001"),
+    (["verify"], "OA 1000000000 1000000000 2\n", "2^1000000000*1000000000"),
+    (["verify"], "OA 500000 1000000 2\n", "2^500000*1000000"),
+    (["verify"], f"OA 1 2 {BIG}\n", f"{BIG}^1*2"),
+])
+def test_a_header_alone_meets_the_cell_cap_at_once(argv, text, cells):
+    # a subprocess, since an alarm cannot interrupt one long bigint operation:
+    # all but the last ran for 4.5 s to over 30 s, computing v^t, C(k, t) or
+    # sort keys for every column of an empty body, or printing a count of 4300+
+    # digits; any count of 20 digits or more is printed as its formula
+    proc = run_process(argv, text)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: verification needs {cells} cells, cap is 10000000\n"
 
 
 @pytest.mark.parametrize("field", [["--q", "1000000000000000003"],

@@ -27,7 +27,7 @@ from oaramp.designs import (
 )
 from oaramp.errors import CapExceeded, ConstructionError
 from oaramp.gf import GF, field_for_order
-from oaramp.linalg import Matrix, columns_independent, row_space
+from oaramp.linalg import Matrix, first_dependent, row_space
 
 
 # --- independent oracles ------------------------------------------------------
@@ -287,7 +287,7 @@ def test_rs_generator_all_t_subsets_independent(q):
     for t in range(2, min(q, 4) + 1):
         m = rs_generator(f, t)
         for cols in itertools.combinations(range(q + 1), t):
-            assert columns_independent(m, cols)
+            assert first_dependent(m, [cols]) is None
 
 
 def test_rs_generator_range_errors():
@@ -428,9 +428,9 @@ def test_shamir_matrix_conditions_hold_generally():
     assert m.rows == 4 and m.cols == 7
     tail = (5, 6)
     for cols in itertools.combinations(range(5), 4):
-        assert columns_independent(m, cols)
+        assert first_dependent(m, [cols]) is None
     for cols in itertools.combinations(range(5), 2):
-        assert columns_independent(m, cols + tail)
+        assert first_dependent(m, [cols + tail]) is None
 
 
 def test_shamir_matrix_parameter_errors():

@@ -49,7 +49,6 @@ def is_generator(f, a):
 
 def check_pair(f, a, b):
     assert f.add(a, b) == oracles.field_add(f, a, b)
-    assert f.sub(a, b) == oracles.field_add(f, a, oracles.field_neg(f, b))
     assert f.mul(a, b) == oracles.field_mul(f, a, b)
     assert f.pow(a, b) == oracles.field_pow(f, a, b)
     if a:

@@ -372,7 +372,7 @@ def check_reconstruct(sch, data):
     lowest = data.draw(st.integers(1, sch.n - size + 1))
     rest = data.draw(st.permutations(range(lowest + 1, sch.n + 1)))[:size - 1]
     players = [lowest, *rest]
-    base = data.draw(st.sampled_from(rules)).shares
+    base = data.draw(st.sampled_from(rules))[0]
     values = [base[p - 1] for p in players]
     kind = data.draw(st.sampled_from(["valid", "shifted", "random", "out-of-range"]))
     if kind == "shifted":  # usually inconsistent
@@ -459,9 +459,11 @@ def test_full_size_scheme_matches_oracles(full_size):
         shares = deal(sch, secret, seed)
         assert plain(shares.items()) == oracles.deal(view, secret, seed).items()
         if i % 3 == 0:
-            bundle = shares.restrict(rng.sample(range(1, 9), 4))
+            players = rng.sample(range(1, 9), 4)
+            bundle = ShareBundle([(p, x) for p, x in shares.items() if p in players])
         elif i % 3 == 1:
-            pairs = dict(shares.restrict(rng.sample(range(1, 9), 5)).items())
+            players = rng.sample(range(1, 9), 5)
+            pairs = {p: x for p, x in shares.items() if p in players}
             p = rng.choice(sorted(pairs))
             pairs[p] = (pairs[p] + rng.randrange(1, 11)) % 11
             bundle = ShareBundle(pairs)

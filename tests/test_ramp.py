@@ -7,23 +7,27 @@ import threading
 
 import pytest
 
-from oaramp.designs import aoa_merge, demo_aoa_1333, oa_from_generator, rs_generator, verify_aoa
+from oaramp.designs import (
+    aoa_merge,
+    aoa_split,
+    demo_aoa_1333,
+    oa_from_generator,
+    rs_generator,
+    verify_aoa,
+)
 from oaramp.errors import CapExceeded, SchemeError
 from oaramp.gf import GF
 from oaramp.ramp import (
     RampScheme,
-    Rule,
     ShareBundle,
     aoa_from_scheme,
     audit_security,
     deal,
     format_bundle,
-    ideal_bound_check,
     parse_bundle,
     reconstruct,
     scheme_from_aoa,
     scheme_shamir,
-    strongness,
 )
 
 
@@ -34,6 +38,14 @@ def poly_eval_mod(coeffs, x, q):
 
 def example_1333_scheme():
     return scheme_from_aoa(demo_aoa_1333())
+
+
+def rules_for(sch, secret):
+    return [rule for rule in sch.rules if rule[1] == secret]
+
+
+def restrict(bundle, players):
+    return ShareBundle([(p, x) for p, x in bundle.items() if p in players])
 
 
 # --- scheme_shamir -------------------------------------------------------------
@@ -53,18 +65,18 @@ def test_scheme_shamir_matches_polynomial_oracle():
     for coeffs in itertools.product(range(5), repeat=2):
         shares = tuple(poly_eval_mod(coeffs, x, 5) for x in (1, 2, 3))
         expected.add((shares, (coeffs[0],)))
-    assert {(r.shares, r.secret) for r in sch.rules} == expected
+    assert set(sch.rules) == expected
 
 
 def test_scheme_shamir_specific_rules():
     sch = scheme_shamir(GF(3), 1, 2, 2)
-    assert Rule((0, 0), (0,)) in sch.rules  # the zero polynomial
+    assert ((0, 0), (0,)) in sch.rules  # the zero polynomial
 
     sch533 = scheme_shamir(GF(5), 1, 3, 3)
     # coefficients (1,2,1): share at the point 1 is 1+2+1 = 4
     shares = tuple(poly_eval_mod((1, 2, 1), x, 5) for x in (1, 2, 3))
     assert shares[0] == 4
-    assert Rule(shares, (1, 2)) in sch533.rules
+    assert (shares, (1, 2)) in sch533.rules
 
 
 def test_scheme_shamir_parameter_errors():
@@ -118,7 +130,7 @@ def test_scheme_invariants_enforced():
 def test_scheme_rules_canonical_order():
     rules = [((1, 1), (1,)), ((0, 0), (0,)), ((0, 1), (1,)), ((1, 0), (0,))]
     sch = RampScheme(1, 2, 2, 2, rules)
-    assert [r.shares for r in sch.rules] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [shares for shares, _ in sch.rules] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # --- scheme_from_aoa / aoa_from_scheme -------------------------------------------
@@ -130,11 +142,10 @@ def test_scheme_from_aoa_example_1333():
     assert len(sch.rules) == 27
     assert len(sch.secrets) == 9
     for key in sch.secrets:
-        assert len(sch.rules_for(key)) == 3  # v^s rules per secret
+        assert len(rules_for(sch, key)) == 3  # v^s rules per secret
     # rule shape: shares (a,b,c) carry secret (a+b, a+c)
-    for rule in sch.rules:
-        a, b, c = rule.shares
-        assert rule.secret == ((a + b) % 3, (a + c) % 3)
+    for (a, b, c), secret in sch.rules:
+        assert secret == ((a + b) % 3, (a + c) % 3)
 
 
 def test_scheme_from_threshold_aoa_has_v_secrets():
@@ -151,7 +162,7 @@ def test_scheme_from_aoa_2443():
     sch = scheme_from_aoa(a)
     assert len(sch.secrets) == 9
     for key in sch.secrets:
-        assert len(sch.rules_for(key)) == 9
+        assert len(rules_for(sch, key)) == 9
 
 
 def test_scheme_from_aoa_rejects_unverified():
@@ -210,7 +221,7 @@ def test_deal_respects_secret():
     sch = example_1333_scheme()
     for seed in range(10):
         b = deal(sch, (1, 2), seed=seed)
-        a, bb, c = (b.assignments[i] for i in (1, 2, 3))
+        a, bb, c = (dict(b.items())[i] for i in (1, 2, 3))
         assert ((a + bb) % 3, (a + c) % 3) == (1, 2)
     with pytest.raises(ValueError):
         deal(sch, (9, 9), seed=0)
@@ -225,7 +236,7 @@ def test_deal_varies_over_seeds_and_covers_rules():
 def test_deal_weight_proportional_selection():
     rules = [((0, 0), (0,)), ((0, 1), (0,)), ((1, 0), (1,)), ((1, 1), (1,))]
     heavy = RampScheme(1, 2, 2, 2, rules, weights=[1, 10**9, 1, 1])
-    hits = [deal(heavy, (0,), seed).assignments[2] for seed in range(20)]
+    hits = [dict(deal(heavy, (0,), seed).items())[2] for seed in range(20)]
     assert hits.count(1) == 20  # the 10^9-weight rule wins every draw
 
 
@@ -248,10 +259,10 @@ def test_deal_single_rule_per_secret():
     base = oa_from_generator(rs_generator(GF(3), 2), 2)
     sch = scheme_from_aoa(aoa_merge(base, 0))  # s = 0: one rule per secret
     for key in sch.secrets:
-        only = sch.rules_for(key)[0]
+        only = rules_for(sch, key)[0][0]
         for seed in (0, 1, 99):
             assert deal(sch, key, seed).items() == tuple(
-                (i + 1, x) for i, x in enumerate(only.shares))
+                (i + 1, x) for i, x in enumerate(only))
 
 
 def test_reconstruct_round_trip_exhaustive():
@@ -275,8 +286,8 @@ def test_reconstruct_monotone_in_share_supersets():
     for key in sch.secrets:
         bundle = deal(sch, key, seed=4)
         for size in range(sch.t, sch.n + 1):
-            for players in itertools.combinations(bundle.players(), size):
-                assert reconstruct(sch, bundle.restrict(players)).secret == key
+            for players in itertools.combinations(range(1, sch.n + 1), size):
+                assert reconstruct(sch, restrict(bundle, players)).secret == key
 
 
 def test_reconstruct_inconsistent_and_errors():
@@ -310,7 +321,7 @@ def test_threads_building_the_lazy_tables_at_once_get_sequential_results():
         out = []
         for seed, secret in enumerate(sch.secrets):
             shares = deal(sch, secret, seed)
-            out.append((shares, reconstruct(sch, shares.restrict([1, 3, 5]))))
+            out.append((shares, reconstruct(sch, restrict(shares, [1, 3, 5]))))
         return out
 
     expected = work(weighted())
@@ -342,9 +353,9 @@ def test_audit_example_1333_scheme():
     assert report.ok and report.weak_ok and report.perfect_ok and report.bijection_ok
     assert not report.failures
     # the projection "player 1 holds share 0" admits each secret exactly once
-    consistent = [r for r in sch.rules if r.shares[0] == 0]
+    consistent = [secret for shares, secret in sch.rules if shares[0] == 0]
     assert len(consistent) == 9
-    assert sorted(r.secret for r in consistent) == list(sch.secrets)
+    assert sorted(consistent) == list(sch.secrets)
 
 
 def test_audit_shamir_schemes():
@@ -377,9 +388,9 @@ def test_audit_uniformity_of_counts_at_exact_s():
     sch = scheme_shamir(GF(5), 2, 3, 4)
     for players in itertools.combinations(range(4), sch.s):
         groups = {}
-        for rule in sch.rules:
-            proj = tuple(rule.shares[p] for p in players)
-            groups.setdefault(proj, []).append(rule.secret)
+        for shares, secret in sch.rules:
+            proj = tuple(shares[p] for p in players)
+            groups.setdefault(proj, []).append(secret)
         for proj, secrets in groups.items():
             per = {k: secrets.count(k) for k in set(secrets)}
             assert set(per.values()) == {1}  # one rule per secret per projection
@@ -401,25 +412,14 @@ def test_audit_work_cap():
         audit_security(sch, max_work=10)
 
 
-# --- bounds and strongness ----------------------------------------------------------
-
-
-def test_ideal_bound_check():
-    v = ideal_bound_check(1, 3, 3, 3, 9)
-    assert v.ok and v.ideal and v.bound == 9
-    threshold = ideal_bound_check(2, 3, 4, 5, 5)
-    assert threshold.ok and threshold.ideal
-    bad = ideal_bound_check(1, 3, 3, 3, 10)
-    assert not bad.ok and not bad.ideal
-    with pytest.raises(ValueError):
-        ideal_bound_check(3, 3, 4, 5, 5)
+# --- strongness: splitting a scheme's rule array -------------------------------------
 
 
 def test_strongness_split_behaviour():
     # polynomial schemes split into full-strength arrays; the sum-coupled
     # example cannot, which is the whole point of it
-    assert strongness(scheme_shamir(GF(5), 2, 3, 4)).ok
-    result = strongness(example_1333_scheme())
+    assert aoa_split(aoa_from_scheme(scheme_shamir(GF(5), 2, 3, 4))).ok
+    result = aoa_split(aoa_from_scheme(example_1333_scheme()))
     assert not result.ok
     assert result.dependency is not None
 
@@ -428,10 +428,10 @@ def test_threshold_shamir_rule_array_is_an_oa():
     from oaramp.designs import OrthogonalArray, verify_oa
 
     sch = scheme_shamir(GF(5), 2, 3, 4)  # s = t-1: a threshold scheme
-    shares_only = OrthogonalArray(3, 4, 5, [r.shares for r in sch.rules])
+    shares_only = OrthogonalArray(3, 4, 5, [shares for shares, _ in sch.rules])
     assert verify_oa(shares_only).ok
 
-    split = strongness(sch)  # secret appended as a fifth column
+    split = aoa_split(aoa_from_scheme(sch))  # secret appended as a fifth column
     assert split.ok
     oa = split.array
     assert (oa.t, oa.k, oa.v) == (3, 5, 5)
@@ -446,7 +446,6 @@ def test_bundle_parse_format_round_trip():
     assert format_bundle(b) == "1:0 3:2"
     assert parse_bundle("1:0 3:2") == b
     assert parse_bundle("3:2 1:0") == b
-    assert b.restrict([3]).items() == ((3, 2),)
     with pytest.raises(ValueError):
         parse_bundle("1-0")
     with pytest.raises(ValueError):
