@@ -62,6 +62,14 @@ class ShareBundle:
         pairs.sort()
         self._pairs = tuple(pairs)
 
+    @classmethod
+    def _of_players(cls, shares: Sequence[int]) -> "ShareBundle":
+        """The bundle in which player j + 1 holds ``shares[j]``, Python ints
+        the caller has already checked."""
+        b = cls.__new__(cls)
+        b._pairs = tuple(zip(range(1, len(shares) + 1), shares))
+        return b
+
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
 
@@ -329,7 +337,7 @@ def deal(sch: RampScheme, secret: Sequence[int], seed: int) -> ShareBundle:
             cum = sch._cum_weights[i] = list(itertools.accumulate(sch.weights[r] for r in rows))
         pick = rng.choices(range(hi - lo), cum_weights=cum, k=1)[0]
     shares = sch.aoa.grid[sch._by_secret[lo + pick], :sch.n].tolist()
-    return ShareBundle({j + 1: x for j, x in enumerate(shares)})
+    return ShareBundle._of_players(shares)
 
 
 @dataclass(frozen=True)

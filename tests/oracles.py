@@ -17,7 +17,8 @@ one-product-at-a-time enumeration over them.  ``_rref`` is the scalar
 Gaussian elimination, one matrix at a time, with the ``GF``'s ``mul`` and
 ``inv`` and the oracle's own subtraction, behind the oracle ``rank``,
 ``columns_independent``, ``kernel_vector`` and ``first_dependent``;
-``is_prime`` and ``factor_prime_power`` trial-divide.
+``is_prime`` and ``factor_prime_power`` trial-divide.  ``min_distance``
+compares every pair of rows symbol by symbol.
 ``dump_array`` joins the strings of each row's symbols; ``load_array`` calls
 ``int()`` per token and hands the constructor lists of rows.
 """
@@ -257,6 +258,15 @@ def _projection_counts(rows, cols: tuple[int, ...]) -> Counter:
     if len(cols) == 1:
         return Counter((x,) for x in map(getter, rows))
     return Counter(map(getter, rows))
+
+
+def min_distance(rows) -> int | None:
+    """The least Hamming distance between two of ``rows``, None below two rows."""
+    best = None
+    for a, b in itertools.combinations(rows, 2):
+        d = sum(x != y for x, y in zip(a, b))
+        best = d if best is None else min(best, d)
+    return best
 
 
 def verify_oa(a: OrthogonalArray,

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from oaramp import designs
@@ -58,14 +59,6 @@ def oracle_failing_subsets(rows, t, k, v):
         if any(c != 1 for c in seen.values()) or len(seen) != v**t:
             bad.append(cols)
     return bad
-
-
-def oracle_min_distance(rows):
-    best = None
-    for a, b in itertools.combinations(rows, 2):
-        d = sum(x != y for x, y in zip(a, b))
-        best = d if best is None else min(best, d)
-    return best
 
 
 OA_232_ROWS = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
@@ -186,10 +179,10 @@ def test_dual_aoa_checks_both_row_spaces_before_enumerating_either(monkeypatch):
 def test_verify_mds_examples():
     good = OrthogonalArray(2, 3, 2, OA_232_ROWS)
     assert verify_mds(good)
-    assert oracle_min_distance(good.rows) == 2 == good.k - good.t + 1
+    assert oracles.min_distance(good.rows) == 2 == good.k - good.t + 1
 
     close = OrthogonalArray(2, 3, 2, [(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)])
-    assert oracle_min_distance(close.rows) == 1
+    assert oracles.min_distance(close.rows) == 1
     assert not verify_mds(close)
 
 
@@ -198,7 +191,7 @@ def test_verify_mds_agrees_with_oracle():
     for _ in range(15):
         rows = {tuple(rng.randrange(3) for _ in range(4)) for _ in range(9)}
         a = OrthogonalArray(2, 4, 3, sorted(rows))
-        assert verify_mds(a) == (oracle_min_distance(a.rows) >= 3)
+        assert verify_mds(a) == (oracles.min_distance(a.rows) >= 3)
 
 
 def test_degenerate_strength_rejected_upstream():

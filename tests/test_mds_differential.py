@@ -1,0 +1,215 @@
+"""``verify_mds`` against the pairwise distance oracle, and its two paths.
+
+Linear arrays (Reed-Solomon arrays and their column subsets, split Shamir
+arrays, the row spaces of random generators of any rank, so with and without
+duplicate rows) are certified as linear codes and must give the oracle's
+verdict without a pairwise comparison.  One-cell corruptions, per-column
+symbol relabellings (distances kept, linearity lost), duplicated rows, one
+row, alphabets that are not prime powers (6, 10, 12) and a prime alphabet
+above the field order cap go to the pairwise scan, which must agree with the
+oracle too, at every block size, and which is refused before any comparison
+when its count passes ``MDS_COMPARE_CAP``.
+"""
+
+import io
+
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oaramp import designs
+from oaramp.cli import main as cli_main
+from oaramp.designs import (
+    OrthogonalArray,
+    aoa_split,
+    linear_aoa,
+    load_array,
+    oa_from_generator,
+    rs_generator,
+    shamir_matrix,
+    verify_mds,
+)
+from oaramp.errors import CapExceeded
+from oaramp.gf import ORDER_CAP, field_for_order
+from oaramp.linalg import Matrix, row_space
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+MAX_ROWS = 256  # the oracle compares every pair of rows in Python
+
+
+def mds_by_oracle(a):
+    d = oracles.min_distance(a.rows)
+    return d is None or d >= a.k - a.t + 1
+
+
+def check(a):
+    assert verify_mds(a) == mds_by_oracle(a)
+
+
+def same_params(a, rows):
+    return OrthogonalArray(a.t, a.k, a.v, rows)
+
+
+def top_power(q):
+    """The largest e with q^e rows within the oracle's budget."""
+    return max(e for e in range(1, 9) if q**e <= MAX_ROWS)
+
+
+@st.composite
+def linear_arrays(draw):
+    """The row space of a generator over GF(q), q <= 16: a Reed-Solomon
+    generator or some of its columns, a Shamir AOA generator (its split),
+    or a random r x k matrix of any rank, whose duplicates are kept."""
+    q = draw(st.sampled_from(FIELDS))
+    field = field_for_order(q)
+    kind = draw(st.sampled_from(["rs", "split", "random"]))
+    if kind == "rs":
+        t = draw(st.integers(2, min(q, top_power(q))))
+        m = rs_generator(field, t)
+        cols = draw(st.lists(st.integers(0, q), min_size=t, max_size=q + 1, unique=True))
+        return oa_from_generator(m.columns(sorted(cols)), t)
+    if kind == "split" and q >= 3 and q**2 <= MAX_ROWS:
+        t = draw(st.integers(2, min(q, top_power(q))))
+        s = draw(st.integers(1, t - 1))
+        k = draw(st.integers(t, q))
+        return aoa_split(linear_aoa(shamir_matrix(field, s, t, k), s, t, k)).array
+    r = draw(st.integers(1, top_power(q)))
+    k = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                            min_size=r, max_size=r))
+    t = draw(st.integers(1, k))  # r < t gives a rank-deficient code with v^r rows
+    return OrthogonalArray(t, k, q, row_space(Matrix(field, entries)))
+
+
+@SETTINGS
+@given(linear_arrays())
+def test_linear_arrays_match_the_oracle_by_certificate(a):
+    check(a)
+    if len(set(a.rows)) == len(a.rows) > 1:
+        assert designs._least_code_weight(a) is not None
+
+
+@SETTINGS
+@given(linear_arrays(), st.data())
+def test_one_cell_corruptions_match_the_oracle(a, data):
+    rows = [list(r) for r in a.rows]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, a.k - 1))
+    rows[i][j] = (rows[i][j] + data.draw(st.integers(1, a.v - 1))) % a.v
+    check(same_params(a, rows))
+
+
+@SETTINGS
+@given(linear_arrays(), st.data())
+def test_column_relabellings_keep_the_verdict(a, data):
+    """A symbol permutation per column keeps every distance, and most of
+    them make the rows no linear code."""
+    perms = [data.draw(st.permutations(range(a.v))) for _ in range(a.k)]
+    b = same_params(a, [[p[x] for p, x in zip(perms, row)] for row in a.rows])
+    assert oracles.min_distance(b.rows) == oracles.min_distance(a.rows)
+    check(b)
+    assert verify_mds(b) == verify_mds(a)
+
+
+def test_a_shifted_column_leaves_no_linear_code():
+    """x -> x + 1 in the first column moves the zero row off zero and gives
+    the code's translate by e_1, which is no linear code: its distances are
+    the code's, and the pairwise scan finds them."""
+    a = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
+    b = same_params(a, [[(row[0] + 1) % 5, *row[1:]] for row in a.rows])
+    assert designs._least_code_weight(a) == 5
+    assert designs._least_code_weight(b) is None
+    assert verify_mds(b) and mds_by_oracle(b)
+
+
+@SETTINGS
+@given(linear_arrays(), st.data())
+def test_duplicated_rows_and_single_rows_match_the_oracle(a, data):
+    row = list(a.rows[data.draw(st.integers(0, len(a.rows) - 1))])
+    check(same_params(a, [*a.rows, row]))
+    check(same_params(a, [row]))
+
+
+@SETTINGS
+@given(st.sampled_from([6, 10, 12, ORDER_CAP + 1]), st.data())
+def test_alphabets_without_a_field_match_the_oracle(v, data):
+    """v = 6, 10, 12 are not prime powers, and 65537 is a prime above the
+    field order cap: random rows, or the zero-sum array over Z_v."""
+    k = data.draw(st.integers(1, 5))
+    if v <= 12 and data.draw(st.booleans()):
+        rows = [[x, y, (-x - y) % v] for x in range(v) for y in range(v)]
+        a = OrthogonalArray(2, 3, v, rows)
+    else:
+        symbols = st.integers(0, v - 1) if data.draw(st.booleans()) else st.integers(0, 2)
+        rows = data.draw(st.lists(st.lists(symbols, min_size=k, max_size=k),
+                                  min_size=1, max_size=40))
+        t = data.draw(st.integers(1, k)) if v <= 12 else 1  # v^t * k cells
+        a = OrthogonalArray(t, k, v, rows)
+    check(a)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5, 10**6])
+def test_pairwise_scan_finds_the_least_distance_at_any_block_size(monkeypatch, rows_per_block):
+    """The scan passes at the oracle's least distance d and fails at d + 1,
+    with blocks of one row, of a few rows and of the whole array."""
+    base = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
+    arrays = [base, OrthogonalArray(2, 3, 6, [[x, y, (x * y) % 6] for x in range(6)
+                                              for y in range(6)])]
+    for i in (0, 7, 24):  # a corruption near the start, inside, at the last row
+        rows = [list(r) for r in base.rows]
+        rows[i][i % base.k] = (rows[i][i % base.k] + 1) % 5
+        arrays.append(same_params(base, rows))
+    for a in arrays:
+        monkeypatch.setattr(designs, "_PAIR_BLOCK", rows_per_block * len(a.grid))
+        d = oracles.min_distance(a.rows)
+        assert designs._pairwise_at_least(a.grid, d)
+        assert not designs._pairwise_at_least(a.grid, d + 1)
+
+
+def _fail(*args):
+    pytest.fail("must not be reached")
+
+
+def _construct(q, t):
+    out = io.StringIO()
+    assert cli_main(["construct", "oa-rs", "--q", str(q), "--t", str(t)],
+                    stdin=io.StringIO(""), stdout=out) == 0
+    return load_array(out.getvalue())
+
+
+def test_linear_arrays_take_no_pairwise_step(monkeypatch):
+    """Acceptance criterion 1's arrays and the benchmark's OA(2,17,16)."""
+    monkeypatch.setattr(designs, "_pairwise_at_least", _fail)
+    cases = [(q, t) for q in (2, 3, 4, 5, 7, 8, 9) for t in range(2, min(q, 4) + 1)]
+    for q, t in [*cases, (16, 2)]:
+        assert verify_mds(_construct(q, t)), (q, t)
+
+
+def test_pairwise_cap_is_checked_before_any_comparison(monkeypatch):
+    linear = oa_from_generator(rs_generator(field_for_order(3), 2), 2)
+    rows = [list(r) for r in linear.rows]
+    rows[4][1] = (rows[4][1] + 1) % 3
+    corrupted = same_params(linear, rows)  # 9 rows x 4 columns: 36 * 4 comparisons
+    monkeypatch.setattr(designs, "_pairwise_at_least", _fail)
+    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 143)
+    with pytest.raises(CapExceeded, match="needs 144 cell comparisons, cap is 143"):
+        verify_mds(corrupted)
+    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 0)
+    assert verify_mds(linear)  # a linear code is certified whatever the cap
+    monkeypatch.undo()
+    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 144)
+    assert not verify_mds(corrupted)
+
+
+def test_a_prime_alphabet_above_the_field_cap_is_scanned_pairwise(monkeypatch):
+    """65537 rows (x, 3x mod 65537) are a linear code over GF(65537), but no
+    field is built above the cap: the pairwise scan gives the verdict."""
+    v = ORDER_CAP + 1
+    a = OrthogonalArray(1, 2, v, [[x, 3 * x % v] for x in range(v)])
+    seen = []
+    monkeypatch.setattr(designs, "field_for_order", _fail)
+    monkeypatch.setattr(designs, "_pairwise_at_least",
+                        lambda grid, need: seen.append(need) or True)
+    assert verify_mds(a) and seen == [2]

@@ -255,6 +255,19 @@ def test_weights_follow_their_rules_into_canonical_order(n, v):
     assert list(sch.weights) != weights
 
 
+def test_deal_builds_the_bundle_the_constructor_builds():
+    """deal hands out the rule table's shares without ShareBundle's checks:
+    the bundle must equal the checked one, hash alike and hold Python ints."""
+    sch = scheme_shamir(GF(5), 1, 3, 4)
+    for secret in sch.secrets:
+        for seed in (0, 1, 7, 2**40):
+            b = deal(sch, secret, seed)
+            checked = ShareBundle(dict(b.items()))
+            assert b == checked and hash(b) == hash(checked) and repr(b) == repr(checked)
+            assert [p for p, _ in b.items()] == [1, 2, 3, 4]
+            assert all(type(x) is int for pair in b.items() for x in pair)
+
+
 def test_deal_single_rule_per_secret():
     base = oa_from_generator(rs_generator(GF(3), 2), 2)
     sch = scheme_from_aoa(aoa_merge(base, 0))  # s = 0: one rule per secret
