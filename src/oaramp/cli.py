@@ -13,10 +13,9 @@ import functools
 import sys
 from typing import TextIO
 
-from . import designs, ramp
+from . import caps, designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
 from .gf import GF, field_for_order
-from .linalg import DEFAULT_CELL_CAP, _check_row_space_cap
 
 
 @functools.cache
@@ -106,10 +105,10 @@ def _field_from_args(args) -> GF:
 
 def _cap(args) -> int:
     if args.max_cells is None:
-        return DEFAULT_CELL_CAP
+        return caps.CELLS
     if args.max_cells <= 0:
         raise ValueError("--max-cells must be positive")
-    return min(args.max_cells, DEFAULT_CELL_CAP)
+    return min(args.max_cells, caps.CELLS)
 
 
 def _parse_secret(text: str) -> tuple[int, ...]:
@@ -148,7 +147,7 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
         field = _field_from_args(args)
         q, t = field.q, args.t
         if 2 <= t <= q:
-            _check_row_space_cap(q, t, q + 1, cap)
+            caps.check_row_space(q, t, q + 1, cap)
         oa = designs.oa_from_generator(designs.rs_generator(field, t), t, cap)
         out.write(designs.dump_array(oa))
         return 0
@@ -156,7 +155,7 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
         field = _field_from_args(args)
         s, t, k = args.s, args.t, args.k
         if 1 <= s < t <= k <= field.q:
-            _check_row_space_cap(field.q, t, k + t - s, cap)
+            caps.check_row_space(field.q, t, k + t - s, cap)
         m = designs.shamir_matrix(field, s, t, k)
         out.write(designs.dump_array(designs.linear_aoa(m, s, t, k, cap)))
         return 0
@@ -168,7 +167,7 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
         if t > field.q + 1:
             raise ValueError(f"need t <= q+1 for the default basis, got t={t}, q={field.q}")
         if 2 <= t - s <= field.q:  # the basis's row space, enumerated first
-            _check_row_space_cap(field.q, t - s, t, cap)
+            caps.check_row_space(field.q, t - s, t, cap)
         basis = designs.rs_generator(field, t - s).columns(range(t))
         out.write(designs.dump_array(designs.dual_aoa(basis, s, t, cap)))
         return 0

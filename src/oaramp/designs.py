@@ -15,32 +15,16 @@ size caps; nonexistence is certified by bound arithmetic only, never search.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ConstructionError
+from . import caps
+from .errors import ConstructionError
 from .gf import GF, ORDER_CAP, factor_prime_power, field_for_order
-from .linalg import (
-    DEFAULT_CELL_CAP,
-    Matrix,
-    _cells_over,
-    _check_row_space_cap,
-    first_dependent,
-    kernel_vector,
-    row_space,
-)
-
-DEFAULT_SUBSET_CAP = 10**5
-
-# Cell comparisons (row pairs times columns) that verify_mds may spend on an
-# array that is not a linear code: 3-4 s at the 5-6 * 10^9 a second its
-# pairwise scan makes on a 2-vCPU host, enough to give a verdict on any
-# one-cell corruption of OA(2,129,128) or OA(3,33,32).
-MDS_COMPARE_CAP = 2 * 10**10
+from .linalg import Matrix, first_dependent, kernel_vector, row_space
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +187,6 @@ class VerifyResult:
         return self.ok
 
 
-def _check_caps(v: int, t: int, width: int, k: int, sizes: Sequence[int],
-                max_cells: int, max_subsets: int) -> None:
-    """Reject work on a v^t x width grid past ``max_cells``, then work on the
-    C(k, size) column subsets, for each of ``sizes``, past ``max_subsets``.
-    Each count is computed only once the ones before it fit, so the numbers
-    of an array header cannot make the arithmetic itself slow."""
-    cells = _cells_over(v, t, width, max_cells)
-    if cells is not None:
-        raise CapExceeded(f"verification needs {cells} cells, cap is {max_cells}")
-    for size in sizes:
-        n = math.comb(k, size)
-        if n > max_subsets:
-            raise CapExceeded(f"verification needs {n} column subsets, cap is {max_subsets}")
-
-
 def _tally(keys: np.ndarray, size: int) -> np.ndarray:
     """How often each integer in [0, size) occurs in ``keys``: the one place
     rows are counted, for the verifiers' witnesses, the split, the audit and
@@ -273,20 +242,18 @@ def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
     return VerifyResult(True)
 
 
-def verify_oa(a: OrthogonalArray,
-              max_cells: int = DEFAULT_CELL_CAP,
-              max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
+def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
     """Exhaustively check the strength-t coverage property.
 
     Every t-subset of columns (ascending order) must contain each t-tuple
     over [0, v-1] exactly once; the first failure, by subset order and then
     by tuple order, becomes the witness.
     """
-    _check_caps(a.v, a.t, a.k, a.k, [a.t], max_cells, max_subsets)
+    caps.check_verify(a.v, a.t, a.k, a.k, [a.t], max_cells)
     return _coverage_scan(a, [(a.t, (), "column_subset")])
 
 
-def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
+def verify_mds(a: OrthogonalArray, max_cells: int = caps.CELLS) -> bool:
     """Check that all pairwise Hamming distances between rows are >= k - t + 1.
 
     An array whose rows are exactly a linear code over GF(v) is certified by
@@ -294,11 +261,11 @@ def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
     the least distance between rows is the least weight of a nonzero row
     (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1).
     Every other array has its N(N-1)/2 * k cell comparisons checked against
-    ``MDS_COMPARE_CAP``, then every pair of rows compared.  Both paths read
+    ``caps.COMPARISONS``, then every pair of rows compared.  Both paths read
     the distances off the rows, independently of the coverage kernel that
     verify_oa uses.
     """
-    _check_caps(a.v, a.t, a.k, a.k, [], max_cells, DEFAULT_SUBSET_CAP)
+    caps.check_verify(a.v, a.t, a.k, a.k, [], max_cells)
     need = a.k - a.t + 1
     n = len(a.grid)
     if n < 2:
@@ -306,10 +273,7 @@ def verify_mds(a: OrthogonalArray, max_cells: int = DEFAULT_CELL_CAP) -> bool:
     weight = _least_code_weight(a)
     if weight is not None:
         return weight >= need
-    compares = n * (n - 1) // 2 * a.k
-    if compares > MDS_COMPARE_CAP:
-        raise CapExceeded(f"pairwise distance check needs {compares} cell comparisons, "
-                          f"cap is {MDS_COMPARE_CAP}")
+    caps.check_pairwise(n, a.k)
     return _pairwise_at_least(a.grid, need)
 
 
@@ -369,9 +333,7 @@ def _pairwise_at_least(grid: np.ndarray, need: int) -> bool:
     return True
 
 
-def verify_aoa(a: AugmentedOA,
-               max_cells: int = DEFAULT_CELL_CAP,
-               max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
+def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:
     """Exhaustively check both AOA conditions.
 
     (i) the k plain columns form an OA of strength t; (ii) every s-subset of
@@ -380,7 +342,7 @@ def verify_aoa(a: AugmentedOA,
     bijection onto Y.  Condition (ii) is strength-t coverage on the s plain
     columns plus the t-s augmented digit columns, so both use one check.
     """
-    _check_caps(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells, max_subsets)
+    caps.check_verify(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells)
     aug = tuple(range(a.k, a.k + a.aug_width))
     return _coverage_scan(a, [(a.t, (), "column_subset"), (a.s, aug, "augmented_subset")])
 
@@ -422,21 +384,21 @@ def _check_subsets_independent(m: Matrix, subsets, condition: str) -> None:
             condition=condition, witness=tuple(cols))
 
 
-def oa_from_generator(m: Matrix, t: int, max_cells: int = DEFAULT_CELL_CAP) -> OrthogonalArray:
+def oa_from_generator(m: Matrix, t: int, max_cells: int = caps.CELLS) -> OrthogonalArray:
     """Enumerate the row space of a t-row generator with t-wise independent columns.
     The caps are checked before the independence of any column subset."""
     if m.rows != t:
         raise ValueError(f"generator must have exactly t={t} rows, has {m.rows}")
     if m.cols < t:
         raise ValueError(f"generator needs at least t={t} columns, has {m.cols}")
-    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
-    _check_caps(m.field.q, t, m.cols, m.cols, [t], max_cells, DEFAULT_SUBSET_CAP)
+    caps.check_row_space(m.field.q, m.rows, m.cols, max_cells)
+    caps.check_subsets(m.cols, [t])
     _check_subsets_independent(m, itertools.combinations(range(m.cols), t), "strength")
     return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
 
 
 def linear_aoa(m: Matrix, s: int, t: int, k: int,
-               max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
+               max_cells: int = caps.CELLS) -> AugmentedOA:
     """Build an AOA(s,t,k,q) from a t x (k+t-s) matrix whose first k columns
     are t-wise independent and whose last t-s columns, joined with any s of
     the first k, are independent.  Both conditions are checked up front,
@@ -448,8 +410,8 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
         raise ValueError(
             f"matrix must be {t}x{k + t - s} for AOA({s},{t},{k},{m.field.q}), "
             f"is {m.rows}x{m.cols}")
-    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
-    _check_caps(m.field.q, t, m.cols, k, [t, s], max_cells, DEFAULT_SUBSET_CAP)
+    caps.check_row_space(m.field.q, m.rows, m.cols, max_cells)
+    caps.check_subsets(k, [t, s])
     tail = tuple(range(k, k + t - s))
     _check_subsets_independent(
         m, itertools.combinations(range(k), t), "plain-strength")
@@ -477,7 +439,7 @@ def shamir_matrix(field: GF, s: int, t: int, k: int) -> Matrix:
     return m1.hstack(Matrix(field, np.eye(t, t - s, dtype=np.int64)))
 
 
-def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
+def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = caps.CELLS) -> AugmentedOA:
     """Build an AOA(s,t,t,q) from a (t-s) x t basis N of a linear OA(t-s,t,q),
     via the generator (I_t | N^T)."""
     if not 0 <= s < t:
@@ -485,8 +447,8 @@ def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = DEFAULT_CELL_CAP) -> Au
     if n.rows != t - s or n.cols != t:
         raise ValueError(f"basis must be {t - s}x{t}, is {n.rows}x{n.cols}")
     # the basis's row space, then the generator's, before either is enumerated
-    _check_row_space_cap(n.field.q, t - s, t, max_cells)
-    _check_row_space_cap(n.field.q, t, 2 * t - s, max_cells)
+    caps.check_row_space(n.field.q, t - s, t, max_cells)
+    caps.check_row_space(n.field.q, t, 2 * t - s, max_cells)
     base = OrthogonalArray(t - s, t, n.field.q, row_space(n, max_cells))
     res = verify_oa(base, max_cells)
     if not res.ok:
@@ -498,7 +460,7 @@ def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = DEFAULT_CELL_CAP) -> Au
     return linear_aoa(m, s, t, t, max_cells)
 
 
-def aoa_merge(a: OrthogonalArray, s: int, max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
+def aoa_merge(a: OrthogonalArray, s: int, max_cells: int = caps.CELLS) -> AugmentedOA:
     """Merge the trailing t-s columns of a verified OA(t, k+t-s, v) into one
     augmented column of (t-s)-tuples, giving an AOA(s,t,k,v)."""
     t = a.t
@@ -563,7 +525,7 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
     return ColumnDependency(cols[lead], combo, a.v)
 
 
-def aoa_split(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
+def aoa_split(a: AugmentedOA, max_cells: int = caps.CELLS) -> SplitResult:
     """Expand the augmented tuples of a verified AOA into t-s plain columns
     and test the result at strength t.
 
@@ -580,7 +542,7 @@ def aoa_split(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
     return SplitResult(wide, res, dep)
 
 
-def demo_aoa_1333(max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
+def demo_aoa_1333(max_cells: int = caps.CELLS) -> AugmentedOA:
     """The 27-row AOA(1,3,3,3) whose rows are (a, b, c, (a+b, a+c)) over GF(3).
 
     Its augmented column couples the plain symbols linearly, so splitting it
@@ -697,7 +659,7 @@ class NonexistenceReport:
 
 
 def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None = None,
-                         max_cells: int = DEFAULT_CELL_CAP) -> NonexistenceReport:
+                         max_cells: int = caps.CELLS) -> NonexistenceReport:
     """Construct and exhaustively verify an AOA whose parameters beat the
     Bush bound for the merged OA.
 
@@ -716,7 +678,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
         if not 3 <= t <= q:
             raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
         field = field_for_order(q)
-        _check_row_space_cap(q, t, q + t - 1, max_cells)
+        caps.check_row_space(q, t, q + t - 1, max_cells)
         aoa = linear_aoa(shamir_matrix(field, 1, t, q), 1, t, q, max_cells)
         return NonexistenceReport(
             kind, (("q", q), ("t", t)), aoa, verify_aoa(aoa, max_cells),
@@ -731,7 +693,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
         field = field_for_order(q)
         top = q + 1
-        _check_row_space_cap(q, top - s, top, max_cells)  # the basis's, enumerated first
+        caps.check_row_space(q, top - s, top, max_cells)  # the basis's, enumerated first
         basis = rs_generator(field, top - s)  # (t-s) x (q+1) with t = q+1
         aoa = dual_aoa(basis, s, top, max_cells)
         return NonexistenceReport(

@@ -12,10 +12,10 @@ smallest monic irreducible of degree j, coefficients compared from the
 constant term upward.  It need not be primitive, so each field then searches
 the encodings in ascending order for the smallest primitive element g (no
 g^((q-1)/r) is 1 for a prime r dividing q-1, by polynomial arithmetic), and
-builds, once at construction, exp/log tables over g and the Zech logarithms
-log(1 + g^n), each of size O(q).  Scalar arithmetic is lookups in those
-tables; ``_mul_arrays``/``_add_arrays``/``_inv_arrays``/``_neg_arrays`` apply
-the same arithmetic to whole int64 arrays.  No table is built at import.
+builds, once at construction, exp/log tables over g of size O(q).  Scalar
+products, inverses and powers are lookups in those tables, and sums add
+base-p digits; ``_mul_arrays``/``_add_arrays``/``_inv_arrays``/``_neg_arrays``
+apply the same arithmetic to whole int64 arrays.  No table is built at import.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ class GF:
     there is no element type.
     """
 
-    __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_zech",
-                 "_exp_array", "_log_array")
+    __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_exp_array", "_log_array")
 
     def __init__(self, p: int, j: int = 1):
         if p < 2:
@@ -209,8 +208,7 @@ class GF:
         self._tabulate()
 
     def _tabulate(self) -> None:
-        """exp/log tables over the smallest-encoding primitive element g, and the
-        Zech logarithms log(1 + g^n), all of size O(q).
+        """exp/log tables over the smallest-encoding primitive element g, of size O(q).
 
         ``log[0]`` is the sentinel 2(q-1), and ``exp`` holds two periods of the
         powers of g followed by zeros, so ``exp[log[a] + log[b]]`` is the product
@@ -231,7 +229,6 @@ class GF:
         log[0] = zero
         self._exp_array, self._log_array = exp, log
         self._exp, self._log = exp.tolist(), log.tolist()
-        self._zech = log[self._add_arrays(powers, 1)].tolist()
 
     def _times(self, g: int) -> np.ndarray:
         """a * g for every encoding a.  The map is GF(p)-linear, so it is built
@@ -265,15 +262,12 @@ class GF:
             raise ValueError(f"{a} is not an element encoding in GF({self.q})")
         return a
 
-    # -- arithmetic on integer encodings: table lookups --
+    # -- arithmetic on integer encodings: table lookups, and digit sums --
 
     def add(self, a: int, b: int) -> int:
-        """a + b = a * (1 + b/a), through the Zech logarithm of b/a."""
+        """a + b, digit by digit in base p as ``_add_arrays`` adds."""
         self._check(a), self._check(b)
-        if not a or not b:
-            return a or b
-        la = self._log[a]
-        return self._exp[la + self._zech[(self._log[b] - la) % (self.q - 1)]]
+        return self._add_arrays(a, b)
 
     def neg(self, a: int) -> int:
         self._check(a)

@@ -16,10 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded
+from . import caps
 from .gf import GF
-
-DEFAULT_CELL_CAP = 10**7
 
 
 class Matrix:
@@ -139,33 +137,7 @@ def kernel_vector(field: GF, grid: Sequence[Sequence[int]]) -> tuple[int, ...] |
     return tuple(x.tolist())
 
 
-def _cells_over(q: int, rows: int, cols: int, cap: int) -> int | str | None:
-    """None if a q^rows x cols grid fits in ``cap`` cells; else its cell count
-    for a message, exact below 10^20 and past that the formula ``q^rows*cols``.
-    The power is multiplied out only until it passes max(cap, 10^20), so a
-    huge exponent (an array header, say) costs a few steps, not its digits."""
-    total, limit = cols, max(cap, 10**20)
-    for _ in range(rows):
-        if total > limit:
-            break
-        total *= q
-    if total <= cap:
-        return None
-    return total if total < 10**20 else f"{q}^{rows}*{cols}"
-
-
-def _check_row_space_cap(q: int, rows: int, cols: int, max_cells: int) -> None:
-    """Reject the row space of a rows x cols matrix over GF(q) if its q^rows x cols
-    grid exceeds the cap; callers check the shape before building the matrix."""
-    cells = _cells_over(q, rows, cols, max_cells)
-    if cells is not None:
-        raise CapExceeded(
-            f"row space of {rows}x{cols} matrix over GF({q}) needs {cells} cells, "
-            f"cap is {max_cells}"
-        )
-
-
-def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
+def row_space(m: Matrix, max_cells: int = caps.CELLS) -> np.ndarray:
     """All q^rows products u @ m, for u in ascending base-q order (u[0] most
     significant), as a read-only (q^rows, cols) int64 grid.
 
@@ -173,7 +145,7 @@ def row_space(m: Matrix, max_cells: int = DEFAULT_CELL_CAP) -> np.ndarray:
     generator row at a time: each of its rows is added to every multiple of
     the next generator row, in one broadcast over the field's array arithmetic.
     """
-    _check_row_space_cap(m.field.q, m.rows, m.cols, max_cells)
+    caps.check_row_space(m.field.q, m.rows, m.cols, max_cells)
     field, q = m.field, m.field.q
     coefs = np.arange(q, dtype=np.int64)[:, None]
     grid = np.zeros((1, m.cols), dtype=np.int64)

@@ -17,13 +17,13 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import caps
 from .designs import (
     AugmentedOA,
     _canonical_grid,
@@ -32,11 +32,8 @@ from .designs import (
     shamir_matrix,
     verify_aoa,
 )
-from .errors import CapExceeded, SchemeError
+from .errors import SchemeError
 from .gf import GF
-from .linalg import DEFAULT_CELL_CAP, _check_row_space_cap
-
-DEFAULT_AUDIT_WORK_CAP = 10**7
 
 # The largest table, in cells, that the counting helpers below index densely;
 # above it they fall back to np.unique.
@@ -256,7 +253,7 @@ def _distinct(group: np.ndarray, value: np.ndarray) -> np.ndarray:
 # constructions and transforms
 
 
-def scheme_from_aoa(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> RampScheme:
+def scheme_from_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> RampScheme:
     """One uniform-weight rule per row: shares from the plain columns, secret
     from the augmented tuple.
 
@@ -273,7 +270,7 @@ def scheme_from_aoa(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> RampSc
     return sch
 
 
-def aoa_from_scheme(sch: RampScheme, max_cells: int = DEFAULT_CELL_CAP) -> AugmentedOA:
+def aoa_from_scheme(sch: RampScheme, max_cells: int = caps.CELLS) -> AugmentedOA:
     """The scheme's rule array (rows: shares, then secret tuple), once verified.
 
     Requires an ideal scheme with the full complement of v^t rules; the
@@ -308,7 +305,7 @@ def scheme_shamir(field: GF, s: int, t: int, n: int) -> RampScheme:
         raise SchemeError(f"need 1 <= s < t <= n, got s={s}, t={t}, n={n}")
     if q < n + 1:
         raise SchemeError(f"need q >= n+1 distinct evaluation points, got q={q}, n={n}")
-    _check_row_space_cap(q, t, n + t - s, DEFAULT_CELL_CAP)
+    caps.check_row_space(q, t, n + t - s, caps.CELLS)
     return scheme_from_aoa(linear_aoa(shamir_matrix(field, s, t, n), s, t, n))
 
 
@@ -422,8 +419,7 @@ class AuditReport:
         return self.ok
 
 
-def audit_security(sch: RampScheme,
-                   max_work: int = DEFAULT_AUDIT_WORK_CAP) -> AuditReport:
+def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditReport:
     """Exhaustive information-theoretic audit of the scheme's rule table.
 
     For every player subset of size <= s and every achievable share
@@ -436,11 +432,7 @@ def audit_security(sch: RampScheme,
     consistent rules there -- the fact that makes reconstruction well defined.
     """
     n, s, t = sch.n, sch.s, sch.t
-    base_subsets = sum(math.comb(n, i) for i in range(s + 1))
-    bijection_subsets = math.comb(n, s) * math.comb(n - s, t - s) if sch.is_ideal else 0
-    work = len(sch.weights) * (base_subsets + bijection_subsets)
-    if work > max_work:
-        raise CapExceeded(f"audit needs ~{work} rule visits, cap is {max_work}")
+    subsets = caps.check_audit(len(sch.weights), n, s, t, sch.is_ideal, max_work)
 
     grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
     ranks = functools.cache(  # a column subset's distinct projections, each row's rank
@@ -506,5 +498,5 @@ def audit_security(sch: RampScheme,
 
     ok = weak_ok and (perfect_ok is not False) and (bijection_ok is not False)
     return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
-                       subsets_checked=base_subsets + bijection_subsets,
+                       subsets_checked=subsets,
                        groups_checked=groups, failures=tuple(failures))

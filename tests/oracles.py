@@ -26,26 +26,22 @@ compares every pair of rows symbol by symbol.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter, defaultdict
 from operator import itemgetter
 
+from oaramp import caps
 from oaramp.designs import (
-    DEFAULT_SUBSET_CAP,
     AugmentedOA,
     ColumnDependency,
     OrthogonalArray,
     SplitResult,
     VerifyResult,
     Witness,
-    _check_caps,
 )
-from oaramp.errors import CapExceeded
 from oaramp.gf import _poly_mod, field_for_order
-from oaramp.linalg import DEFAULT_CELL_CAP, Matrix
+from oaramp.linalg import Matrix
 from oaramp.ramp import (
-    DEFAULT_AUDIT_WORK_CAP,
     AuditFailure,
     AuditReport,
     RampScheme,
@@ -269,10 +265,8 @@ def min_distance(rows) -> int | None:
     return best
 
 
-def verify_oa(a: OrthogonalArray,
-              max_cells: int = DEFAULT_CELL_CAP,
-              max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
-    _check_caps(a.v, a.t, a.k, a.k, [a.t], max_cells, max_subsets)
+def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
+    caps.check_verify(a.v, a.t, a.k, a.k, [a.t], max_cells)
     rows = a.rows
     if len(rows) != a.expected_rows:
         return VerifyResult(False, Witness(
@@ -285,17 +279,15 @@ def verify_oa(a: OrthogonalArray,
     return VerifyResult(True)
 
 
-def verify_aoa(a: AugmentedOA,
-               max_cells: int = DEFAULT_CELL_CAP,
-               max_subsets: int = DEFAULT_SUBSET_CAP) -> VerifyResult:
-    _check_caps(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells, max_subsets)
+def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:
+    caps.check_verify(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells)
     rows = a.rows
     if len(rows) != a.expected_rows:
         return VerifyResult(False, Witness(
             "row_count", count=len(rows), expected=a.expected_rows))
 
     plain = OrthogonalArray(a.t, a.k, a.v, [r[: a.k] for r in rows])
-    res = verify_oa(plain, max_cells, max_subsets)
+    res = verify_oa(plain, max_cells)
     if not res.ok:
         return res
 
@@ -324,7 +316,7 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
     return ColumnDependency(cols[lead], combo, a.v)
 
 
-def aoa_split(a: AugmentedOA, max_cells: int = DEFAULT_CELL_CAP) -> SplitResult:
+def aoa_split(a: AugmentedOA, max_cells: int = caps.CELLS) -> SplitResult:
     res = verify_aoa(a, max_cells)
     if not res.ok:
         raise ValueError(f"input fails AOA verification: {res.witness.describe()}")
@@ -354,16 +346,10 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     return ReconstructionResult("ok", secret=next(iter(found)))
 
 
-def audit_security(sch: RampScheme,
-                   max_work: int = DEFAULT_AUDIT_WORK_CAP) -> AuditReport:
+def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditReport:
     n, s, t = sch.n, sch.s, sch.t
     rules = sch.rules
-    n_rules = len(rules)
-    base_subsets = sum(math.comb(n, i) for i in range(s + 1))
-    bijection_subsets = math.comb(n, s) * math.comb(n - s, t - s) if sch.is_ideal else 0
-    work = n_rules * (base_subsets + bijection_subsets)
-    if work > max_work:
-        raise CapExceeded(f"audit needs ~{work} rule visits, cap is {max_work}")
+    subsets = caps.check_audit(len(rules), n, s, t, sch.is_ideal, max_work)
 
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
@@ -430,7 +416,7 @@ def audit_security(sch: RampScheme,
 
     ok = weak_ok and (perfect_ok is not False) and (bijection_ok is not False)
     return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
-                       subsets_checked=base_subsets + bijection_subsets,
+                       subsets_checked=subsets,
                        groups_checked=groups, failures=tuple(failures))
 
 

@@ -1,0 +1,72 @@
+"""The cap policy lives in ``caps``: no other module constructs the refusal,
+and the audit's count of rule visits is bounded however large the scheme."""
+
+import ast
+import signal
+from pathlib import Path
+
+import pytest
+
+from oaramp import caps
+from oaramp.errors import CapExceeded
+from oaramp.ramp import RampScheme, audit_security
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oaramp"
+
+
+def _constructs_cap_exceeded(source: str) -> bool:
+    """Whether the module calls or raises ``CapExceeded``, by any name path."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise):
+            target = node.exc
+        else:
+            continue
+        if getattr(target, "id", getattr(target, "attr", None)) == "CapExceeded":
+            return True
+    return False
+
+
+def test_cap_exceeded_is_constructed_in_caps_alone():
+    modules = sorted(p.name for p in PACKAGE.glob("*.py")
+                     if _constructs_cap_exceeded(p.read_text(encoding="utf-8")))
+    assert modules == ["caps.py"]
+
+
+class Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise Overrun("the audit's count took more than 1 s")
+
+
+@pytest.mark.parametrize("s, n, formula", [
+    (4000, 20000, "1*(C(20000,0)+...+C(20000,4000))"),
+    (10000, 100000, "1*(C(100000,0)+...+C(100000,10000))"),
+])
+def test_a_huge_audit_count_is_refused_at_once(s, n, formula):
+    # C(n, i) summed in full over every i <= s takes seconds, and its
+    # thousands of digits are more than Python will print
+    sch = RampScheme(s, s + 1, n, 2, [((0,) * n, (0,))])
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(CapExceeded) as raised:
+            audit_security(sch)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(raised.value) == f"audit needs ~{formula} rule visits, cap is 10000000"
+
+
+def test_audit_counts_are_exact_below_the_formula_rule():
+    # 5 rules, n=4, s=1, t=3: (1 + 4) + C(4,1) * C(3,2) = 17 subsets
+    assert caps.check_audit(5, 4, 1, 3, True, 85) == 17
+    with pytest.raises(CapExceeded, match=r"^audit needs ~85 rule visits, cap is 84$"):
+        caps.check_audit(5, 4, 1, 3, True, 84)
+    # past 10^20 visits of an ideal scheme, the bijection term joins the formula
+    with pytest.raises(CapExceeded, match=r"~8\*\(C\(90,0\)\+\.\.\.\+C\(90,1\)"
+                                          r"\+C\(90,1\)\*C\(89,44\)\) rule visits"):
+        caps.check_audit(8, 90, 1, 45, True, 10**7)

@@ -123,8 +123,10 @@ def test_verify_oa_caps():
     a = oa_from_generator(rs_generator(GF(3), 2), 2)
     with pytest.raises(CapExceeded):
         verify_oa(a, max_cells=10)
-    with pytest.raises(CapExceeded):
-        verify_oa(a, max_subsets=1)
+    # 2^4 * 100 cells fit; C(100, 4) = 3,921,225 column subsets do not
+    wide = OrthogonalArray(4, 100, 2, [[0] * 100])
+    with pytest.raises(CapExceeded, match="needs 3921225 column subsets, cap is 100000"):
+        verify_oa(wide)
 
 
 def test_subset_caps_apply_before_any_independence_check(monkeypatch):

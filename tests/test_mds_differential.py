@@ -8,7 +8,7 @@ symbol relabellings (distances kept, linearity lost), duplicated rows, one
 row, alphabets that are not prime powers (6, 10, 12) and a prime alphabet
 above the field order cap go to the pairwise scan, which must agree with the
 oracle too, at every block size, and which is refused before any comparison
-when its count passes ``MDS_COMPARE_CAP``.
+when its count passes ``caps.COMPARISONS``.
 """
 
 import io
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaramp import designs
+from oaramp import caps, designs
 from oaramp.cli import main as cli_main
 from oaramp.designs import (
     OrthogonalArray,
@@ -193,13 +193,13 @@ def test_pairwise_cap_is_checked_before_any_comparison(monkeypatch):
     rows[4][1] = (rows[4][1] + 1) % 3
     corrupted = same_params(linear, rows)  # 9 rows x 4 columns: 36 * 4 comparisons
     monkeypatch.setattr(designs, "_pairwise_at_least", _fail)
-    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 143)
+    monkeypatch.setattr(caps, "COMPARISONS", 143)
     with pytest.raises(CapExceeded, match="needs 144 cell comparisons, cap is 143"):
         verify_mds(corrupted)
-    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 0)
+    monkeypatch.setattr(caps, "COMPARISONS", 0)
     assert verify_mds(linear)  # a linear code is certified whatever the cap
     monkeypatch.undo()
-    monkeypatch.setattr(designs, "MDS_COMPARE_CAP", 144)
+    monkeypatch.setattr(caps, "COMPARISONS", 144)
     assert not verify_mds(corrupted)
 
 
