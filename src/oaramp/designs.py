@@ -253,7 +253,7 @@ def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
     return _coverage_scan(a, [(a.t, (), "column_subset")])
 
 
-def verify_mds(a: OrthogonalArray, max_cells: int = caps.CELLS) -> bool:
+def verify_mds(a: OrthogonalArray) -> bool:
     """Check that all pairwise Hamming distances between rows are >= k - t + 1.
 
     An array whose rows are exactly a linear code over GF(v) is certified by
@@ -265,7 +265,7 @@ def verify_mds(a: OrthogonalArray, max_cells: int = caps.CELLS) -> bool:
     the distances off the rows, independently of the coverage kernel that
     verify_oa uses.
     """
-    caps.check_verify(a.v, a.t, a.k, a.k, [], max_cells)
+    caps.check_verify(a.v, a.t, a.k, a.k, [], caps.CELLS)
     need = a.k - a.t + 1
     n = len(a.grid)
     if n < 2:
@@ -441,21 +441,16 @@ def shamir_matrix(field: GF, s: int, t: int, k: int) -> Matrix:
 
 def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = caps.CELLS) -> AugmentedOA:
     """Build an AOA(s,t,t,q) from a (t-s) x t basis N of a linear OA(t-s,t,q),
-    via the generator (I_t | N^T)."""
+    via the generator (I_t | N^T).  N's row space is that OA exactly when every
+    t-s columns of N are independent, so those are checked, after the
+    generator's cap; the first dependent subset is the row space's first failing one."""
     if not 0 <= s < t:
         raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
     if n.rows != t - s or n.cols != t:
         raise ValueError(f"basis must be {t - s}x{t}, is {n.rows}x{n.cols}")
-    # the basis's row space, then the generator's, before either is enumerated
-    caps.check_row_space(n.field.q, t - s, t, max_cells)
     caps.check_row_space(n.field.q, t, 2 * t - s, max_cells)
-    base = OrthogonalArray(t - s, t, n.field.q, row_space(n, max_cells))
-    res = verify_oa(base, max_cells)
-    if not res.ok:
-        raise ConstructionError(
-            f"row space of the basis is not an OA({t - s},{t},{n.field.q}): "
-            f"{res.witness.describe()}",
-            condition="dual-basis", witness=res.witness.columns)
+    caps.check_subsets(t, [t - s])
+    _check_subsets_independent(n, itertools.combinations(range(t), t - s), "dual-basis")
     m = Matrix.identity(n.field, t).hstack(n.transpose())
     return linear_aoa(m, s, t, t, max_cells)
 
@@ -628,8 +623,6 @@ class NonexistenceReport:
     """A constructed, exhaustively verified AOA together with the bound
     arithmetic showing that the corresponding OA cannot exist."""
 
-    kind: str
-    params: tuple[tuple[str, int], ...]
     aoa: AugmentedOA
     aoa_result: VerifyResult
     attempted_columns: int  # k + t - s of the OA a split would need
@@ -681,7 +674,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
         caps.check_row_space(q, t, q + t - 1, max_cells)
         aoa = linear_aoa(shamir_matrix(field, 1, t, q), 1, t, q, max_cells)
         return NonexistenceReport(
-            kind, (("q", q), ("t", t)), aoa, verify_aoa(aoa, max_cells),
+            aoa, verify_aoa(aoa, max_cells),
             attempted_columns=q + t - 1, bound=bush_bound(t, q))
 
     if kind == THM410:
@@ -693,11 +686,11 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
         field = field_for_order(q)
         top = q + 1
-        caps.check_row_space(q, top - s, top, max_cells)  # the basis's, enumerated first
+        caps.check_row_space(q, top - s, top, max_cells)  # bounds building the basis, named first
         basis = rs_generator(field, top - s)  # (t-s) x (q+1) with t = q+1
         aoa = dual_aoa(basis, s, top, max_cells)
         return NonexistenceReport(
-            kind, (("q", q), ("s", s)), aoa, verify_aoa(aoa, max_cells),
+            aoa, verify_aoa(aoa, max_cells),
             attempted_columns=2 * top - s, bound=bush_bound(top, q))
 
     raise ValueError(f"unknown nonexistence kind {kind!r}")

@@ -270,7 +270,7 @@ def scheme_from_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> RampScheme:
     return sch
 
 
-def aoa_from_scheme(sch: RampScheme, max_cells: int = caps.CELLS) -> AugmentedOA:
+def aoa_from_scheme(sch: RampScheme) -> AugmentedOA:
     """The scheme's rule array (rows: shares, then secret tuple), once verified.
 
     Requires an ideal scheme with the full complement of v^t rules; the
@@ -283,7 +283,7 @@ def aoa_from_scheme(sch: RampScheme, max_cells: int = caps.CELLS) -> AugmentedOA
         raise SchemeError(
             f"scheme is not ideal: {len(sch.secrets)} secrets, "
             f"need {sch.v ** (sch.t - sch.s)}")
-    res = verify_aoa(sch.aoa, max_cells)
+    res = verify_aoa(sch.aoa)
     if not res.ok:
         raise SchemeError(
             f"rule table is not a valid ramp scheme: {res.witness.describe()}")
@@ -394,11 +394,12 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
 
 @dataclass(frozen=True)
 class AuditFailure:
+    """One failed check: the players, the shares they see, and what fails there."""
+
     check: str  # "weak" | "perfect" | "bijection"
     players: tuple[int, ...]  # 1-based
     projection: tuple[int, ...]
     detail: str
-    counts: tuple[tuple[tuple[int, ...], float], ...] = ()
 
     def describe(self) -> str:
         who = "{" + ",".join(map(str, self.players)) + "}"
@@ -423,13 +424,14 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
     """Exhaustive information-theoretic audit of the scheme's rule table.
 
     For every player subset of size <= s and every achievable share
-    projection, counts consistent rules per secret (failures report their
-    summed weights).  Weak security needs every secret represented; perfect
-    security (checked for ideal uniform-weight schemes, i.e. under the
-    uniform secret prior) needs equal counts.  For ideal schemes it also
-    checks, for each size-s subset, each projection, and each disjoint
-    (t-s)-subset, that secrets map one-to-one onto the projections of the
-    consistent rules there -- the fact that makes reconstruction well defined.
+    projection, looks at the rules consistent with it.  Weak security needs
+    every secret among them (a failure names the first secret missing);
+    perfect security (checked only for ideal uniform-weight schemes, i.e.
+    under the uniform secret prior) needs every secret to have equally many
+    of them.  For ideal schemes it also checks, for each size-s subset, each
+    projection, and each disjoint (t-s)-subset, that secrets map one-to-one
+    onto the projections of the consistent rules there -- the fact that makes
+    reconstruction well defined.
     """
     n, s, t = sch.n, sch.s, sch.t
     subsets = caps.check_audit(len(sch.weights), n, s, t, sch.is_ideal, max_work)
@@ -447,25 +449,24 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
         for subset in itertools.combinations(range(n), size):
             players = tuple(p + 1 for p in subset)
             projs, proj = ranks(subset)
-            pair, pairs = _dense(proj * n_secrets + sid, len(projs) * n_secrets)
-            hits = _tally(pair, pairs)[pair]  # rules sharing each row's (proj, secret)
-            weak = _distinct(proj, sid) < n_secrets
-            uneven = _distinct(proj, hits) > 1
+            weak = bad = _distinct(proj, sid) < n_secrets
+            if check_perfect:
+                pair, pairs = _dense(proj * n_secrets + sid, len(projs) * n_secrets)
+                hits = _tally(pair, pairs)[pair]  # rules sharing each row's (proj, secret)
+                bad = weak | (_distinct(proj, hits) > 1)
             groups += len(projs)
-            for g in np.flatnonzero(weak | (check_perfect & uneven)).tolist():
+            for g in np.flatnonzero(bad).tolist():
                 projection = tuple(projs[g].tolist())
-                totals = [0] * n_secrets  # summed in canonical row order
-                for i in np.flatnonzero(proj == g).tolist():
-                    totals[sid[i]] += sch.weights[i]
-                counts = tuple(zip(sch.secrets, totals))
                 if weak[g]:
                     weak_ok = False
+                    present = np.zeros(n_secrets, dtype=bool)
+                    present[sid[proj == g]] = True
                     check = "weak"
-                    detail = f"secret {sch.secrets[totals.index(0)]} has no consistent rule"
+                    detail = f"secret {sch.secrets[int(present.argmin())]} has no consistent rule"
                 else:
                     perfect_ok = False
                     check, detail = "perfect", "consistent-rule weights differ between secrets"
-                failures.append(AuditFailure(check, players, projection, detail, counts))
+                failures.append(AuditFailure(check, players, projection, detail))
 
     bijection_ok: bool | None = None
     if sch.is_ideal:

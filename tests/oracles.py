@@ -374,12 +374,12 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
                     weak_ok = False
                     failures.append(AuditFailure(
                         "weak", players, proj,
-                        f"secret {missing[0]} has no consistent rule", counts))
+                        f"secret {missing[0]} has no consistent rule"))
                 elif check_perfect and len({w for _, w in counts}) != 1:
                     perfect_ok = False
                     failures.append(AuditFailure(
                         "perfect", players, proj,
-                        "consistent-rule weights differ between secrets", counts))
+                        "consistent-rule weights differ between secrets"))
 
     bijection_ok: bool | None = None
     if sch.is_ideal:

@@ -1,7 +1,9 @@
 """The cap policy lives in ``caps``: no other module constructs the refusal,
-and the audit's count of rule visits is bounded however large the scheme."""
+and the audit stays bounded however large the scheme: its count of rule
+visits, and its failure records, which hold no per-secret table."""
 
 import ast
+import contextlib
 import signal
 from pathlib import Path
 
@@ -39,7 +41,19 @@ class Overrun(Exception):
 
 
 def _overrun(signum, frame):
-    raise Overrun("the audit's count took more than 1 s")
+    raise Overrun("the audit outran its alarm")
+
+
+@contextlib.contextmanager
+def _alarm(seconds: float):
+    """Raise ``Overrun`` in the body once ``seconds`` of wall time have passed."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("s, n, formula", [
@@ -50,14 +64,8 @@ def test_a_huge_audit_count_is_refused_at_once(s, n, formula):
     # C(n, i) summed in full over every i <= s takes seconds, and its
     # thousands of digits are more than Python will print
     sch = RampScheme(s, s + 1, n, 2, [((0,) * n, (0,))])
-    previous = signal.signal(signal.SIGALRM, _overrun)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        with pytest.raises(CapExceeded) as raised:
-            audit_security(sch)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with _alarm(1.0), pytest.raises(CapExceeded) as raised:
+        audit_security(sch)
     assert str(raised.value) == f"audit needs ~{formula} rule visits, cap is 10000000"
 
 
@@ -70,3 +78,17 @@ def test_audit_counts_are_exact_below_the_formula_rule():
     with pytest.raises(CapExceeded, match=r"~8\*\(C\(90,0\)\+\.\.\.\+C\(90,1\)"
                                           r"\+C\(90,1\)\*C\(89,44\)\) rule visits"):
         caps.check_audit(8, 90, 1, 45, True, 10**7)
+
+
+def test_failure_records_grow_with_the_failures_not_with_the_secrets():
+    # 8,000 rules, each its own secret: every one-player view misses 7,999
+    # secrets, so 16,000 weak and 16,000 bijection failures.  Weak records
+    # that tallied every secret would hold 128 million (secret, weight) pairs.
+    sch = RampScheme(1, 2, 2, 8000, [((i, 7 * i % 8000), (i,)) for i in range(8000)])
+    with _alarm(5.0):
+        report = audit_security(sch)
+    assert len(report.failures) == 32000
+    assert not report.weak_ok and report.perfect_ok and not report.bijection_ok
+    first = report.failures[0]
+    assert (first.check, first.players, first.projection) == ("weak", (1,), (0,))
+    assert first.detail == "secret (1,) has no consistent rule"

@@ -7,6 +7,8 @@ import random
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oaramp import designs
 from oaramp.designs import (
@@ -170,8 +172,9 @@ def test_dual_aoa_checks_both_row_spaces_before_enumerating_either(monkeypatch):
     # the basis's 9^6*10 cells are under the cap; the generator's are not
     with pytest.raises(CapExceeded, match="10x16 matrix over GF\\(9\\) needs 55788550416 cells"):
         dual_aoa(basis, 4, 10)
-    # when both are over it, the basis is named, as when it was enumerated first
-    with pytest.raises(CapExceeded, match="6x10 matrix over GF\\(9\\) needs 5314410 cells, cap is 10"):
+    # the basis's row space is never enumerated, so only the generator's is capped
+    with pytest.raises(CapExceeded,
+                       match="10x16 matrix over GF\\(9\\) needs 55788550416 cells, cap is 10"):
         dual_aoa(basis, 4, 10, max_cells=10)
 
 
@@ -487,6 +490,51 @@ def test_dual_aoa_rejects_non_oa_basis():
     with pytest.raises(ConstructionError) as exc:
         dual_aoa(Matrix(f, [[1, 1, 1, 0], [2, 2, 2, 0]]), 2, 4)
     assert exc.value.condition == "dual-basis"
+
+
+@st.composite
+def dual_bases(draw):
+    """A (t-s) x t basis over GF(q), q <= 9 and t <= 5, with s and t, its
+    entries uniform.  In one draw of three its last row is a combination of
+    the others (zero when it is the only row), so the basis is rank-deficient."""
+    field = field_for_order(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s = rng.randrange(5)
+    t = s + 1 + rng.randrange(5 - s)
+    rows = [[rng.randrange(field.q) for _ in range(t)] for _ in range(t - s)]
+    if rng.randrange(3) == 0:
+        last = [0] * t
+        for row in rows[:-1]:
+            c = rng.randrange(field.q)
+            last = [field.add(x, field.mul(c, y)) for x, y in zip(last, row)]
+        rows[-1] = last
+    return Matrix(field, rows), s, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(dual_bases())
+def test_dual_aoa_refuses_exactly_the_bases_whose_row_space_is_no_oa(case):
+    """The oracle scans the basis's row space, enumerated here; dual_aoa
+    checks the columns of the basis and enumerates only the generator's."""
+    basis, s, t = case
+    scan = verify_oa(OrthogonalArray(t - s, t, basis.field.q, row_space(basis)))
+    enumerated = []
+
+    def recorded(m, *args):
+        enumerated.append((m.rows, m.cols))
+        return row_space(m, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "row_space", recorded)
+        try:
+            a = dual_aoa(basis, s, t)
+        except ConstructionError as exc:
+            assert not scan.ok and exc.condition == "dual-basis"
+            assert exc.witness == scan.witness.columns
+            assert enumerated == []
+        else:
+            assert scan.ok and enumerated == [(t, 2 * t - s)]
+            assert verify_aoa(a).ok
 
 
 # --- array types and text format -------------------------------------------------
