@@ -166,7 +166,7 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
             raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
         if t > field.q + 1:
             raise ValueError(f"need t <= q+1 for the default basis, got t={t}, q={field.q}")
-        if 2 <= t - s <= field.q:  # bounds building the basis, named first
+        if 2 <= t - s <= field.q:  # keeps the basis-named cap message; N is never enumerated
             caps.check_row_space(field.q, t - s, t, cap)
         basis = designs.rs_generator(field, t - s).columns(range(t))
         out.write(designs.dump_array(designs.dual_aoa(basis, s, t, cap)))

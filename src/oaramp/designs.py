@@ -442,17 +442,21 @@ def shamir_matrix(field: GF, s: int, t: int, k: int) -> Matrix:
 def dual_aoa(n: Matrix, s: int, t: int, max_cells: int = caps.CELLS) -> AugmentedOA:
     """Build an AOA(s,t,t,q) from a (t-s) x t basis N of a linear OA(t-s,t,q),
     via the generator (I_t | N^T).  N's row space is that OA exactly when every
-    t-s columns of N are independent, so those are checked, after the
-    generator's cap; the first dependent subset is the row space's first failing one."""
+    t-s columns of N are independent, which linear_aoa's augmented check tests:
+    columns S of I_t with N^T are dependent exactly when N's columns outside S
+    are.  As S ascends, those descend: the witness is N's last dependent subset."""
     if not 0 <= s < t:
         raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
     if n.rows != t - s or n.cols != t:
         raise ValueError(f"basis must be {t - s}x{t}, is {n.rows}x{n.cols}")
-    caps.check_row_space(n.field.q, t, 2 * t - s, max_cells)
-    caps.check_subsets(t, [t - s])
-    _check_subsets_independent(n, itertools.combinations(range(t), t - s), "dual-basis")
     m = Matrix.identity(n.field, t).hstack(n.transpose())
-    return linear_aoa(m, s, t, t, max_cells)
+    try:
+        return linear_aoa(m, s, t, t, max_cells)
+    except ConstructionError as exc:  # I_t alone has full rank: the augmented check failed
+        cols = tuple(c for c in range(t) if c not in exc.witness)
+        raise ConstructionError(
+            f"columns {tuple(c + 1 for c in cols)} of the basis are linearly "
+            f"dependent (dual-basis)", condition="dual-basis", witness=cols) from None
 
 
 def aoa_merge(a: OrthogonalArray, s: int, max_cells: int = caps.CELLS) -> AugmentedOA:
@@ -686,7 +690,7 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
         field = field_for_order(q)
         top = q + 1
-        caps.check_row_space(q, top - s, top, max_cells)  # bounds building the basis, named first
+        caps.check_row_space(q, top - s, top, max_cells)  # keeps the basis-named cap message
         basis = rs_generator(field, top - s)  # (t-s) x (q+1) with t = q+1
         aoa = dual_aoa(basis, s, top, max_cells)
         return NonexistenceReport(

@@ -13,7 +13,8 @@ class ConstructionError(ValueError):
     """A matrix fails the independence conditions required by a construction.
 
     Carries the first offending column subset in ``witness`` (0-based column
-    indices) and the condition label in ``condition``.
+    indices; for ``dual-basis``, the last of the basis, see
+    ``designs.dual_aoa``) and the condition label in ``condition``.
     """
 
     def __init__(self, message: str, *, condition: str = "", witness: tuple[int, ...] = ()):

@@ -20,7 +20,6 @@ apply the same arithmetic to whole int64 arrays.  No table is built at import.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -338,9 +337,8 @@ class GF:
         return f"GF({self.q})=GF({self.p}^{self.j}, {_poly_str(self.reducing_poly)})"
 
 
-@functools.lru_cache(maxsize=16, typed=True)
 def field_for_order(q: int) -> GF:
-    """The field of order q, rejecting non-prime-powers; the last 16 are kept."""
+    """Construct the field of order q, rejecting non-prime-powers."""
     if q > ORDER_CAP:  # before factoring, which trial-divides up to sqrt(q)
         raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
     pj = factor_prime_power(q)

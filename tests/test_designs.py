@@ -490,6 +490,8 @@ def test_dual_aoa_rejects_non_oa_basis():
     with pytest.raises(ConstructionError) as exc:
         dual_aoa(Matrix(f, [[1, 1, 1, 0], [2, 2, 2, 0]]), 2, 4)
     assert exc.value.condition == "dual-basis"
+    assert exc.value.witness == (2, 3)  # the last dependent pair of basis columns
+    assert str(exc.value) == "columns (3, 4) of the basis are linearly dependent (dual-basis)"
 
 
 @st.composite
@@ -514,10 +516,15 @@ def dual_bases(draw):
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(dual_bases())
 def test_dual_aoa_refuses_exactly_the_bases_whose_row_space_is_no_oa(case):
-    """The oracle scans the basis's row space, enumerated here; dual_aoa
-    checks the columns of the basis and enumerates only the generator's."""
+    """The oracle scans the basis's row space, enumerated here, and lists the
+    column subsets on which its rows repeat; dual_aoa enumerates only the
+    generator's row space and names the last of those subsets."""
     basis, s, t = case
-    scan = verify_oa(OrthogonalArray(t - s, t, basis.field.q, row_space(basis)))
+    rows = row_space(basis)
+    scan = verify_oa(OrthogonalArray(t - s, t, basis.field.q, rows))
+    failing = [cols for cols in itertools.combinations(range(t), t - s)
+               if len({tuple(r) for r in rows[:, cols].tolist()}) < len(rows)]
+    assert scan.ok == (failing == [])
     enumerated = []
 
     def recorded(m, *args):
@@ -530,7 +537,7 @@ def test_dual_aoa_refuses_exactly_the_bases_whose_row_space_is_no_oa(case):
             a = dual_aoa(basis, s, t)
         except ConstructionError as exc:
             assert not scan.ok and exc.condition == "dual-basis"
-            assert exc.witness == scan.witness.columns
+            assert exc.witness == failing[-1]
             assert enumerated == []
         else:
             assert scan.ok and enumerated == [(t, 2 * t - s)]
