@@ -15,7 +15,7 @@ from typing import TextIO
 
 from . import caps, designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
-from .gf import GF, field_for_order
+from .gf import GF, _checked_order
 
 
 @functools.cache
@@ -95,12 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field_from_args(args) -> GF:
-    if args.q is not None:
-        return field_for_order(args.q)
-    if args.p is not None:
-        return GF(args.p, args.j)
-    raise ValueError("a field is required: give --q, or --p with optional --j")
+def _order_from_args(args) -> tuple[int, int]:
+    """(p, j) of the field the flags name, checked but not built."""
+    if args.q is None and args.p is None:
+        raise ValueError("a field is required: give --q, or --p with optional --j")
+    return _checked_order(args.q, args.p, args.j)
 
 
 def _cap(args) -> int:
@@ -139,43 +138,43 @@ def _describe(a) -> str:
 
 
 def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
-    """The cell cap is checked on the shape of the generator's row space before
-    the generator is built; parameters outside a builder's range are left for
-    the builder to report."""
+    """The field's order, then the cell cap on the shape of the generator's
+    row space, are checked before the field or the generator is built;
+    parameters outside a builder's range are left for the builder to report."""
     cap = _cap(args)
+    if args.verb == "aoa-merge":
+        a = _load_stdin_array(stdin)
+        if not isinstance(a, designs.OrthogonalArray):
+            raise ValueError("aoa-merge expects an OA on standard input")
+        out.write(designs.dump_array(designs.aoa_merge(a, args.s, cap)))
+        return 0
+    p, j = _order_from_args(args)
+    q = p**j
     if args.verb == "oa-rs":
-        field = _field_from_args(args)
-        q, t = field.q, args.t
+        t = args.t
         if 2 <= t <= q:
             caps.check_row_space(q, t, q + 1, cap)
-        oa = designs.oa_from_generator(designs.rs_generator(field, t), t, cap)
+        oa = designs.oa_from_generator(designs.rs_generator(GF(p, j), t), t, cap)
         out.write(designs.dump_array(oa))
         return 0
     if args.verb == "aoa-shamir":
-        field = _field_from_args(args)
         s, t, k = args.s, args.t, args.k
-        if 1 <= s < t <= k <= field.q:
-            caps.check_row_space(field.q, t, k + t - s, cap)
-        m = designs.shamir_matrix(field, s, t, k)
+        if 1 <= s < t <= k <= q:
+            caps.check_row_space(q, t, k + t - s, cap)
+        m = designs.shamir_matrix(GF(p, j), s, t, k)
         out.write(designs.dump_array(designs.linear_aoa(m, s, t, k, cap)))
         return 0
-    if args.verb == "aoa-dual":
-        field = _field_from_args(args)
-        s, t = args.s, args.t
-        if not 0 <= s < t:
-            raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
-        if t > field.q + 1:
-            raise ValueError(f"need t <= q+1 for the default basis, got t={t}, q={field.q}")
-        if 2 <= t - s <= field.q:  # keeps the basis-named cap message; N is never enumerated
-            caps.check_row_space(field.q, t - s, t, cap)
-        basis = designs.rs_generator(field, t - s).columns(range(t))
-        out.write(designs.dump_array(designs.dual_aoa(basis, s, t, cap)))
-        return 0
-    # aoa-merge
-    a = _load_stdin_array(stdin)
-    if not isinstance(a, designs.OrthogonalArray):
-        raise ValueError("aoa-merge expects an OA on standard input")
-    out.write(designs.dump_array(designs.aoa_merge(a, args.s, cap)))
+    # aoa-dual
+    s, t = args.s, args.t
+    if not 0 <= s < t:
+        raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
+    if t > q + 1:
+        raise ValueError(f"need t <= q+1 for the default basis, got t={t}, q={q}")
+    if 2 <= t - s <= q:  # the basis's cap first, for its message, though N is never enumerated
+        caps.check_row_space(q, t - s, t, cap)
+        caps.check_row_space(q, t, 2 * t - s, cap)
+    basis = designs.rs_generator(GF(p, j), t - s).columns(range(t))
+    out.write(designs.dump_array(designs.dual_aoa(basis, s, t, cap)))
     return 0
 
 

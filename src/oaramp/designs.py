@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caps
 from .errors import ConstructionError
-from .gf import GF, ORDER_CAP, factor_prime_power, field_for_order
+from .gf import GF, ORDER_CAP, _checked_order, factor_prime_power, field_for_order
 from .linalg import Matrix, first_dependent, kernel_vector, row_space
 
 
@@ -194,6 +194,25 @@ def _tally(keys: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(keys, minlength=size)
 
 
+# The largest table, in cells, that ``_ranks`` and the audit's counting
+# helpers index densely; above it they fall back to np.unique.
+_DENSE_CELLS = 2**24
+
+
+def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(grid[:, cols], axis=0, return_inverse=True)`` returns,
+    read off a first-occurrence table over the v^len(cols) base-v keys of the
+    projections and that table's running count."""
+    cols = list(cols)
+    if v ** len(cols) > _DENSE_CELLS:
+        return np.unique(grid[:, cols], axis=0, return_inverse=True)
+    place = np.array([v**e for e in range(len(cols), -1, -1)], dtype=np.int64)
+    key = grid[:, cols] @ place[1:]
+    seen = np.zeros(place[0], dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
+
+
 def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int] | None:
     """The first tuple over ``cols`` not in exactly one row of ``grid``, with its
     row count, or None.  The smallest base-v key is the lexicographically
@@ -211,9 +230,9 @@ def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int,
 
 
 def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
-    """The row count, then for each (size, tail, kind) check the coverage of
-    every size-subset of the first k columns joined with the columns ``tail``,
-    subsets in ascending order; the first failure is the witness.
+    """The row count, then for each (subsets, tail, kind) check the coverage
+    of each column tuple of ``subsets``, in the order given, joined with the
+    columns ``tail``; the first failure is the witness.
 
     With v^t rows, every tuple occurs once exactly when every base-v key is
     hit, so keys are marked in one reused buffer and only a failing subset is
@@ -227,9 +246,9 @@ def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
     key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
     hit = np.empty(len(a.grid), dtype=bool)
     places = [a.v**e for e in range(a.t - 1, -1, -1)]
-    for size, tail, kind in checks:
+    for subsets, tail, kind in checks:
         lead = None
-        for cols in itertools.combinations(range(a.k), size):
+        for cols in subsets:
             if cols[:-1] != lead:
                 lead = cols[:-1]
                 partial = sum(columns[c] * p for c, p in zip(lead + tail, places))
@@ -250,7 +269,7 @@ def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
     by tuple order, becomes the witness.
     """
     caps.check_verify(a.v, a.t, a.k, a.k, [a.t], max_cells)
-    return _coverage_scan(a, [(a.t, (), "column_subset")])
+    return _coverage_scan(a, [(itertools.combinations(range(a.k), a.t), (), "column_subset")])
 
 
 def verify_mds(a: OrthogonalArray) -> bool:
@@ -344,7 +363,8 @@ def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:
     """
     caps.check_verify(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells)
     aug = tuple(range(a.k, a.k + a.aug_width))
-    return _coverage_scan(a, [(a.t, (), "column_subset"), (a.s, aug, "augmented_subset")])
+    return _coverage_scan(a, [(itertools.combinations(range(a.k), a.t), (), "column_subset"),
+                              (itertools.combinations(range(a.k), a.s), aug, "augmented_subset")])
 
 
 def _require(res: VerifyResult, kind: str) -> None:
@@ -375,13 +395,10 @@ def rs_generator(field: GF, t: int) -> Matrix:
     return Matrix(field, rows)
 
 
-def _check_subsets_independent(m: Matrix, subsets, condition: str) -> None:
-    cols = first_dependent(m, subsets)
-    if cols is not None:
-        raise ConstructionError(
-            f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
-            f"dependent ({condition})",
-            condition=condition, witness=tuple(cols))
+def _dependent(cols: tuple[int, ...], condition: str) -> ConstructionError:
+    return ConstructionError(
+        f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
+        f"dependent ({condition})", condition=condition, witness=tuple(cols))
 
 
 def oa_from_generator(m: Matrix, t: int, max_cells: int = caps.CELLS) -> OrthogonalArray:
@@ -393,7 +410,9 @@ def oa_from_generator(m: Matrix, t: int, max_cells: int = caps.CELLS) -> Orthogo
         raise ValueError(f"generator needs at least t={t} columns, has {m.cols}")
     caps.check_row_space(m.field.q, m.rows, m.cols, max_cells)
     caps.check_subsets(m.cols, [t])
-    _check_subsets_independent(m, itertools.combinations(range(m.cols), t), "strength")
+    cols = first_dependent(m, itertools.combinations(range(m.cols), t))
+    if cols is not None:
+        raise _dependent(cols, "strength")
     return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
 
 
@@ -402,7 +421,9 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
     """Build an AOA(s,t,k,q) from a t x (k+t-s) matrix whose first k columns
     are t-wise independent and whose last t-s columns, joined with any s of
     the first k, are independent.  Both conditions are checked up front,
-    after the caps.
+    after the caps, by one batched elimination over the plain t-subsets and
+    then each s-subset joined with the last t-s columns; the first dependent
+    subset names the condition it breaks.
     """
     if not 0 <= s < t <= k:
         raise ValueError(f"need 0 <= s < t <= k, got s={s}, t={t}, k={k}")
@@ -413,11 +434,11 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
     caps.check_row_space(m.field.q, m.rows, m.cols, max_cells)
     caps.check_subsets(k, [t, s])
     tail = tuple(range(k, k + t - s))
-    _check_subsets_independent(
-        m, itertools.combinations(range(k), t), "plain-strength")
-    _check_subsets_independent(
-        m, (cols + tail for cols in itertools.combinations(range(k), s)),
-        "augmented-independence")
+    cols = first_dependent(m, itertools.chain(
+        itertools.combinations(range(k), t),
+        (cols + tail for cols in itertools.combinations(range(k), s))))
+    if cols is not None:
+        raise _dependent(cols, "augmented-independence" if cols[-1] >= k else "plain-strength")
     return AugmentedOA(s, t, k, m.field.q, row_space(m, max_cells))
 
 
@@ -513,7 +534,7 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
     if factor_prime_power(a.v) is None:
         return None
     field = field_for_order(a.v)
-    x = kernel_vector(field, np.unique(a.grid[:, cols], axis=0))
+    x = kernel_vector(field, _ranks(a.grid, cols, a.v)[0])
     if x is None:
         return None
     lead = max(i for i, xi in enumerate(x) if xi != 0)
@@ -531,10 +552,18 @@ def aoa_split(a: AugmentedOA, max_cells: int = caps.CELLS) -> SplitResult:
     Failure is a legitimate outcome: the expanded array need not be an
     OA(t, k+t-s, v), and when it is not, the witness subset is searched for a
     linear dependency among its columns as an explanation.
+
+    AOA conditions (i) and (ii) cover the expanded t-subsets with no augmented
+    digit column and with all t-s of them, so once ``verify_aoa`` passes only
+    the rest are scanned, in ``verify_oa``'s order: none when s = t-1.
     """
     _require(verify_aoa(a, max_cells), "AOA")
     wide = OrthogonalArray._sharing(a.grid, a.t, a.k + a.aug_width, a.v)
-    res = verify_oa(wide, max_cells)
+    caps.check_verify(wide.v, wide.t, wide.k, wide.k, [wide.t], max_cells)
+    mixed = (cols for cols in itertools.combinations(range(wide.k), a.t)
+             if cols[-1] >= a.k > cols[a.s])  # a digit column, and s+1 plain ones
+    res = (_coverage_scan(wide, [(mixed, (), "column_subset")]) if a.aug_width > 1
+           else VerifyResult(True))
     dep = None
     if not res.ok and res.witness.kind == "column_subset":
         dep = _column_dependency(wide, res.witness.columns)
@@ -674,9 +703,9 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"q must be an odd prime power, got {q}")
         if not 3 <= t <= q:
             raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
-        field = field_for_order(q)
+        p, j = _checked_order(q)
         caps.check_row_space(q, t, q + t - 1, max_cells)
-        aoa = linear_aoa(shamir_matrix(field, 1, t, q), 1, t, q, max_cells)
+        aoa = linear_aoa(shamir_matrix(GF(p, j), 1, t, q), 1, t, q, max_cells)
         return NonexistenceReport(
             aoa, verify_aoa(aoa, max_cells),
             attempted_columns=q + t - 1, bound=bush_bound(t, q))
@@ -688,10 +717,11 @@ def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None 
             raise ValueError(f"q must be a prime power, got {q}")
         if not 1 <= s <= q - 1:
             raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
-        field = field_for_order(q)
+        p, j = _checked_order(q)
         top = q + 1
-        caps.check_row_space(q, top - s, top, max_cells)  # keeps the basis-named cap message
-        basis = rs_generator(field, top - s)  # (t-s) x (q+1) with t = q+1
+        caps.check_row_space(q, top - s, top, max_cells)  # the basis's, for its message
+        caps.check_row_space(q, top, 2 * top - s, max_cells)
+        basis = rs_generator(GF(p, j), top - s)  # (t-s) x (q+1) with t = q+1
         aoa = dual_aoa(basis, s, top, max_cells)
         return NonexistenceReport(
             aoa, verify_aoa(aoa, max_cells),

@@ -190,17 +190,7 @@ class GF:
     __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_exp_array", "_log_array")
 
     def __init__(self, p: int, j: int = 1):
-        if p < 2:
-            raise ValueError(f"{p} is not prime")
-        if j < 1:
-            raise ValueError(f"extension degree must be >= 1, got {j}")
-        # before the primality test, which trial-divides up to sqrt(p)
-        if p > ORDER_CAP or j >= ORDER_CAP.bit_length() or p**j > ORDER_CAP:
-            raise ValueError(f"field order {p if j == 1 else f'{p}^{j}'} exceeds cap {ORDER_CAP}")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.j = j
+        self.p, self.j = _checked_order(None, p, j)
         self.q = p**j
         self.reducing_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, j) if j > 1 else None
@@ -337,11 +327,29 @@ class GF:
         return f"GF({self.q})=GF({self.p}^{self.j}, {_poly_str(self.reducing_poly)})"
 
 
+def _checked_order(q: int | None, p: int | None = None, j: int = 1) -> tuple[int, int]:
+    """(p, j) of the field of order q, or of GF(p^j) when q is None, refused
+    as ``field_for_order`` and ``GF`` refuse them, but with no table built, so
+    a caller can check its own caps on q before paying for the field."""
+    if q is not None:
+        if q > ORDER_CAP:  # before factoring, which tests primality
+            raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+        pj = factor_prime_power(q)
+        if pj is None:
+            raise ValueError(f"{q} is not a prime power")
+        return pj
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    if j < 1:
+        raise ValueError(f"extension degree must be >= 1, got {j}")
+    # before the primality test, and before p**j is multiplied out
+    if p > ORDER_CAP or j >= ORDER_CAP.bit_length() or p**j > ORDER_CAP:
+        raise ValueError(f"field order {p if j == 1 else f'{p}^{j}'} exceeds cap {ORDER_CAP}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p, j
+
+
 def field_for_order(q: int) -> GF:
     """Construct the field of order q, rejecting non-prime-powers."""
-    if q > ORDER_CAP:  # before factoring, which trial-divides up to sqrt(q)
-        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
-    pj = factor_prime_power(q)
-    if pj is None:
-        raise ValueError(f"{q} is not a prime power")
-    return GF(*pj)
+    return GF(*_checked_order(q))

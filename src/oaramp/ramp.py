@@ -23,10 +23,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import caps
+from . import caps, designs
 from .designs import (
     AugmentedOA,
     _canonical_grid,
+    _ranks,
     _tally,
     linear_aoa,
     shamir_matrix,
@@ -34,10 +35,6 @@ from .designs import (
 )
 from .errors import SchemeError
 from .gf import GF
-
-# The largest table, in cells, that the counting helpers below index densely;
-# above it they fall back to np.unique.
-_DENSE_CELLS = 2**24
 
 
 class ShareBundle:
@@ -203,20 +200,6 @@ class RampScheme:
                 f"{len(self.weights)} rules, {len(self.secrets)} secrets)")
 
 
-def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
-    """What ``np.unique(grid[:, cols], axis=0, return_inverse=True)`` returns,
-    read off a first-occurrence table over the v^len(cols) base-v keys of the
-    projections and that table's running count."""
-    cols = list(cols)
-    if v ** len(cols) > _DENSE_CELLS:
-        return np.unique(grid[:, cols], axis=0, return_inverse=True)
-    place = np.array([v**e for e in range(len(cols), -1, -1)], dtype=np.int64)
-    key = grid[:, cols] @ place[1:]
-    seen = np.zeros(place[0], dtype=bool)
-    seen[key] = True
-    return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
-
-
 def _buckets(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
     """The positions of ``key`` grouped by key, each group ascending, and the
     size + 1 offsets of the groups: the positions holding key i are
@@ -232,7 +215,7 @@ def _buckets(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
 def _dense(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     """Keys in [0, size) as they are, with ``size``; or, above the dense-table
     limit, their ranks among the distinct keys, with the number of those."""
-    if size <= _DENSE_CELLS:
+    if size <= designs._DENSE_CELLS:
         return key, size
     distinct, rank = np.unique(key, return_inverse=True)
     return rank, len(distinct)
@@ -242,7 +225,7 @@ def _distinct(group: np.ndarray, value: np.ndarray) -> np.ndarray:
     """For each group id 0..max(group), how many distinct values it holds: the
     column sums of a (values x groups) table marked at each (value, group)."""
     groups, m = int(group.max()) + 1, int(value.max()) + 1
-    if groups * m > _DENSE_CELLS:
+    if groups * m > designs._DENSE_CELLS:
         return _tally(np.unique(group * m + value) // m, groups)
     table = np.zeros((m, groups), dtype=bool)
     table[value, group] = True

@@ -16,9 +16,10 @@ a coefficient vector with their own ``_encode``; ``row_space`` is the
 one-product-at-a-time enumeration over them.  ``_rref`` is the scalar
 Gaussian elimination, one matrix at a time, with the ``GF``'s ``mul`` and
 ``inv`` and the oracle's own subtraction, behind the oracle ``rank``,
-``columns_independent``, ``kernel_vector`` and ``first_dependent``;
-``is_prime`` and ``factor_prime_power`` trial-divide.  ``min_distance``
-compares every pair of rows symbol by symbol.
+``columns_independent``, ``kernel_vector`` and ``first_dependent``, and
+``check_linear_aoa`` and ``check_dual_aoa`` make one ``first_dependent``
+call for each AOA condition in turn; ``is_prime`` and ``factor_prime_power``
+trial-divide.  ``min_distance`` compares every pair of rows symbol by symbol.
 ``dump_array`` joins the strings of each row's symbols; ``load_array`` calls
 ``int()`` per token and hands the constructor lists of rows.
 """
@@ -39,6 +40,7 @@ from oaramp.designs import (
     VerifyResult,
     Witness,
 )
+from oaramp.errors import ConstructionError
 from oaramp.gf import _poly_mod, field_for_order
 from oaramp.linalg import Matrix
 from oaramp.ramp import (
@@ -192,6 +194,37 @@ def first_dependent(m: Matrix, subsets) -> tuple[int, ...] | None:
         if not columns_independent(m, cols):
             return tuple(cols)
     return None
+
+
+def check_linear_aoa(m: Matrix, s: int, t: int, k: int) -> None:
+    """Raise ``linear_aoa``'s ConstructionError for the t x (k+t-s) matrix m,
+    scanning the plain t-subsets with one ``first_dependent`` call and then,
+    with a second, each s-subset joined with the last t-s columns."""
+    tail = tuple(range(k, k + t - s))
+    for condition, subsets in [
+            ("plain-strength", itertools.combinations(range(k), t)),
+            ("augmented-independence",
+             (cols + tail for cols in itertools.combinations(range(k), s)))]:
+        cols = first_dependent(m, subsets)
+        if cols is not None:
+            raise ConstructionError(
+                f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
+                f"dependent ({condition})", condition=condition, witness=cols)
+
+
+def check_dual_aoa(n: Matrix, s: int, t: int) -> None:
+    """Raise ``dual_aoa``'s ConstructionError for the (t-s) x t basis n: the
+    columns of n outside the generator (I_t | n^T)'s first dependent subset."""
+    rows = n.entries.tolist()
+    m = Matrix(n.field, [[int(i == r) for i in range(t)] + [row[r] for row in rows]
+                         for r in range(t)])
+    try:
+        check_linear_aoa(m, s, t, t)
+    except ConstructionError as exc:
+        cols = tuple(c for c in range(t) if c not in exc.witness)
+        raise ConstructionError(
+            f"columns {tuple(c + 1 for c in cols)} of the basis are linearly "
+            f"dependent (dual-basis)", condition="dual-basis", witness=cols) from None
 
 
 def kernel_vector(field, grid) -> tuple[int, ...] | None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaramp import cli
+from oaramp import cli, gf
 from oaramp.cli import main
 from test_text_differential import DEFECTS, with_defect
 
@@ -391,14 +391,48 @@ def run_briefly(argv, input_text=""):
     return code, err.getvalue()
 
 
+def run_counting_fields(argv):
+    """``run_briefly``, and the orders of the fields it tabulated."""
+    built = []
+    tabulate = gf.GF._tabulate
+
+    def counted(field):
+        built.append(field.q)
+        tabulate(field)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf.GF, "_tabulate", counted)
+        code, err = run_briefly(argv)
+    return code, err, built
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(flagged_commands())
 def test_numeric_flags_exit_0_1_or_2_at_once(argv):
-    code, err = run_briefly(argv)
+    code, err, built = run_counting_fields(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert re.match(r"(error: |usage: )", err)
+    if code == 2 and "cap is" in err:
+        assert built == [], "a cap refusal came after a field was built"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-cells", "1000", "construct", "aoa-shamir", "--q", "65536", "--s", "1",
+      "--t", "2", "--k", "8"],
+     "row space of 2x9 matrix over GF(65536) needs 38654705664 cells, cap is 1000"),
+    (["construct", "oa-rs", "--q", "4096", "--t", "4096"],
+     "row space of 4096x4097 matrix over GF(4096) needs 4096^4096*4097 cells, "
+     "cap is 10000000"),
+    # the basis fits under the cap, the 3x5 generator of the AOA does not
+    (["--max-cells", "100", "construct", "aoa-dual", "--q", "3", "--s", "1", "--t", "3"],
+     "row space of 3x5 matrix over GF(3) needs 135 cells, cap is 100"),
+    (["--max-cells", "5000", "demo", "thm410", "--q", "4", "--s", "1"],
+     "row space of 5x9 matrix over GF(4) needs 9216 cells, cap is 5000"),
+])
+def test_a_cap_refusal_builds_no_field(argv, message):
+    assert run_counting_fields(argv) == (2, f"error: {message}\n", [])
 
 
 def _source_texts():

@@ -6,7 +6,8 @@ columns included, must reduce to the oracle's rank and reduced form over the
 27 fields of order at most 64, GF(81) and GF(2^16).  ``first_dependent``
 on one subset and ``kernel_vector`` must equal the oracle's, and
 the constructions must reject a generator with the oracle's first dependent
-subset, in ``itertools.combinations`` order, and the same condition.
+subset, in ``itertools.combinations`` order, and the same condition, in one
+``first_dependent`` call where the oracle makes one per AOA condition.
 Primality and prime-power factoring are compared with trial division.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oaramp import designs
-from oaramp.designs import linear_aoa, oa_from_generator, rs_generator, shamir_matrix
+from oaramp.designs import dual_aoa, linear_aoa, oa_from_generator, rs_generator, shamir_matrix
 from oaramp.errors import ConstructionError
 from oaramp.gf import GF, factor_prime_power, field_for_order, is_prime
 from oaramp.linalg import (
@@ -103,28 +104,33 @@ class _Checked(Exception):
     """Raised in place of building the row space: every pre-check passed."""
 
 
+def _refusal(check):
+    """The condition, witness and message ``check()`` refuses with, or None."""
+    try:
+        check()
+    except ConstructionError as e:
+        return e.condition, e.witness, str(e)
+    return None
+
+
 def _construction_verdict(build):
+    """The refusal of ``build()``, or None when it passes every pre-check, and
+    the number of ``first_dependent`` calls it made."""
+    calls = []
+
     def row_space(*args):
         raise _Checked
 
-    with mock.patch.object(designs, "row_space", row_space):
+    def counted(*args):
+        calls.append(args)
+        return first_dependent(*args)
+
+    with mock.patch.object(designs, "row_space", row_space), \
+            mock.patch.object(designs, "first_dependent", counted):
         try:
-            build()
-        except ConstructionError as e:
-            return e.condition, e.witness, str(e)
+            return _refusal(build), len(calls)
         except _Checked:
-            return None
-    raise AssertionError("the construction neither failed nor built its row space")
-
-
-def _oracle_verdict(m, checks):
-    for condition, subsets in checks:
-        cols = oracles.first_dependent(m, subsets)
-        if cols is not None:
-            return (condition, cols,
-                    f"columns {tuple(c + 1 for c in cols)} of the generator are linearly "
-                    f"dependent ({condition})")
-    return None
+            return None, len(calls)
 
 
 @st.composite
@@ -156,17 +162,40 @@ def test_first_dependent_subset_matches_the_oracle(fgs):
     f, grid, s = fgs
     m = Matrix(f, grid)
     t = m.rows
-    want = _oracle_verdict(m, [("strength", itertools.combinations(range(m.cols), t))])
-    assert _construction_verdict(lambda: oa_from_generator(m, t, NO_CAP)) == want
+    cols = oracles.first_dependent(m, itertools.combinations(range(m.cols), t))
+    want = None if cols is None else (
+        "strength", cols,
+        f"columns {tuple(c + 1 for c in cols)} of the generator are linearly dependent (strength)")
+    assert _construction_verdict(lambda: oa_from_generator(m, t, NO_CAP)) == (want, 1)
 
     k = m.cols - (t - s)
     if k >= t:
-        tail = tuple(range(k, m.cols))
-        want = _oracle_verdict(m, [
-            ("plain-strength", itertools.combinations(range(k), t)),
-            ("augmented-independence",
-             (cols + tail for cols in itertools.combinations(range(k), s)))])
-        assert _construction_verdict(lambda: linear_aoa(m, s, t, k, NO_CAP)) == want
+        want = _refusal(lambda: oracles.check_linear_aoa(m, s, t, k))
+        assert _construction_verdict(lambda: linear_aoa(m, s, t, k, NO_CAP)) == (want, 1)
+
+
+@st.composite
+def dual_bases(draw):
+    """A (t-s) x t basis over GF(q), q <= 9: a random matrix, or the first t
+    columns of a Reed-Solomon generator with at most one column replaced."""
+    small = [q for q in ORDERS if q <= 9]
+    t = draw(st.integers(1, 5))
+    s = draw(st.integers(0, t - 1))
+    f, grid = draw(matrices(t - s, t, t - s, t, small))
+    if 2 <= t - s <= f.q and t <= f.q + 1 and draw(st.booleans()):
+        grid = rs_generator(f, t - s).entries[:, :t].tolist()
+        c, d = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
+        for row in grid:
+            row[c] = row[d] if draw(st.booleans()) else draw(st.integers(0, f.q - 1))
+    return Matrix(f, grid), s, t
+
+
+@SETTINGS
+@given(dual_bases())
+def test_dual_basis_witness_matches_the_two_scan_oracle(case):
+    n, s, t = case
+    want = _refusal(lambda: oracles.check_dual_aoa(n, s, t))
+    assert _construction_verdict(lambda: dual_aoa(n, s, t, NO_CAP)) == (want, 1)
 
 
 @pytest.mark.parametrize("q", [128, 2**16])

@@ -11,6 +11,8 @@ The verifiers' mark path is pinned at its edges (a first failure after many
 passing subsets, in the last run of subsets sharing leading columns, and in
 the augmented check with s = 0 and s = t-1), and the audit's dense tables are
 checked against their ``np.unique`` fallback by lowering the table limit.
+The split of constructed AOAs, as built and with their symbols relabelled,
+must equal a full ``verify_oa`` of the expanded array.
 """
 
 import dataclasses
@@ -26,12 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oaramp.designs
-import oaramp.ramp
 from oaramp.designs import (
     AugmentedOA,
+    ColumnDependency,
     OrthogonalArray,
+    SplitResult,
+    _ranks,
     aoa_merge,
     aoa_split,
+    demo_aoa_1333,
+    dual_aoa,
     linear_aoa,
     oa_from_generator,
     rs_generator,
@@ -43,7 +49,6 @@ from oaramp.gf import field_for_order
 from oaramp.ramp import (
     RampScheme,
     ShareBundle,
-    _ranks,
     audit_security,
     deal,
     reconstruct,
@@ -250,6 +255,74 @@ def test_valid_arrays_never_reach_the_counting_witness(a, monkeypatch):
     assert (verify_oa(a) if isinstance(a, OrthogonalArray) else verify_aoa(a)).ok
 
 
+def split_by_full_scan(a):
+    """``aoa_split`` of a valid AOA by ``verify_oa`` over every t-subset of the
+    expanded array, its dependency read from the ``np.unique`` rows of the
+    witness columns by the oracle's elimination."""
+    wide = OrthogonalArray(a.t, a.k + a.aug_width, a.v, a.grid)
+    res = verify_oa(wide)
+    if res.ok or oracles.factor_prime_power(a.v) is None:
+        return SplitResult(wide, res)
+    f, cols = field_for_order(a.v), res.witness.columns
+    x = oracles.kernel_vector(f, np.unique(wide.grid[:, cols], axis=0).tolist())
+    if x is None:
+        return SplitResult(wide, res)
+    lead = max(i for i, xi in enumerate(x) if xi)
+    combo = tuple((cols[i], f.neg(f.mul(f.inv(x[lead]), x[i]))) for i in range(lead) if x[i])
+    return SplitResult(wide, res, ColumnDependency(cols[lead], combo, a.v))
+
+
+def shamir_aoa(q, s, t, k):
+    return linear_aoa(shamir_matrix(field_for_order(q), s, t, k), s, t, k)
+
+
+def dual_rs_aoa(q, s, t):
+    return dual_aoa(rs_generator(field_for_order(q), t - s).columns(range(t)), s, t)
+
+
+SPLIT_CASES = (
+    [shamir_aoa(*c) for c in [(4, 1, 2, 4), (5, 1, 3, 5), (7, 1, 3, 7), (8, 2, 3, 8),
+                              (9, 1, 3, 9), (5, 1, 4, 5), (5, 2, 4, 5)]]
+    + [dual_rs_aoa(*c) for c in [(3, 1, 4), (4, 0, 2), (4, 1, 3), (5, 0, 3), (5, 2, 4),
+                                 (7, 1, 3)]]
+    + [aoa_merge(rs_oa(q, t), s) for q, t, s in [(3, 2, 0), (3, 2, 1), (4, 3, 1), (5, 3, 0),
+                                                 (5, 3, 2), (7, 2, 1), (8, 3, 1)]]
+    + [demo_aoa_1333()])
+
+
+def relabelled(a, seed):
+    """``a`` with each column's symbols permuted: still an AOA, no longer linear."""
+    rng = np.random.default_rng(seed)
+    grid = np.stack([rng.permutation(a.v)[col] for col in a.grid.T], axis=1)
+    return AugmentedOA(a.s, a.t, a.k, a.v, grid)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("a", SPLIT_CASES, ids=repr)
+def test_split_scans_only_the_mixed_subsets_and_matches_a_full_scan(a, seed):
+    if seed is not None:
+        a = relabelled(a, seed)
+    assert verify_aoa(a).ok
+    wide_scans = []
+    scan = oaramp.designs._coverage_scan
+
+    def recorded(array, checks):
+        if isinstance(array, OrthogonalArray):
+            checks = [(list(subsets), tail, kind) for subsets, tail, kind in checks]
+            wide_scans.append([cols for subsets, _, _ in checks for cols in subsets])
+        return scan(array, checks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oaramp.designs, "_coverage_scan", recorded)
+        got = aoa_split(a)
+    assert got == split_by_full_scan(a)
+    plain((got.result, got.dependency))
+    mixed = [cols for cols in itertools.combinations(range(a.k + a.aug_width), a.t)
+             if 0 < sum(c >= a.k for c in cols) < a.aug_width]
+    # for s = t-1 there are none, and the coverage kernel is not reached
+    assert wide_scans == ([mixed] if mixed else [])
+
+
 # --- schemes: audit, reconstruct, deal -------------------------------------------
 
 
@@ -334,7 +407,7 @@ def test_audit_of_corrupted_uniform_schemes_matches_oracle(sch):
 def test_audit_with_every_table_over_the_limit_matches_oracle(sch):
     """A dense-table limit of one cell sends every count through np.unique."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oaramp.ramp, "_DENSE_CELLS", 1)
+        mp.setattr(oaramp.designs, "_DENSE_CELLS", 1)
         assert plain(audit_security(sch)) == oracles.audit_security(sch)
 
 
@@ -349,7 +422,7 @@ def test_ranks_match_np_unique(data, limit):
                     dtype=np.int64).reshape(rows, width)
     cols = data.draw(st.lists(st.integers(0, width - 1), unique=True)) if width else []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oaramp.ramp, "_DENSE_CELLS", limit)
+        mp.setattr(oaramp.designs, "_DENSE_CELLS", limit)
         projs, rank = _ranks(grid, cols, v)
     want_projs, want_rank = np.unique(grid[:, cols], axis=0, return_inverse=True)
     for got, want in ((projs, want_projs), (rank, want_rank)):
