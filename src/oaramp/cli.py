@@ -15,7 +15,7 @@ from typing import TextIO
 
 from . import caps, designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
-from .gf import GF, _checked_order
+from .gf import GF, _checked_order, _checked_pj
 
 
 @functools.cache
@@ -99,7 +99,7 @@ def _order_from_args(args) -> tuple[int, int]:
     """(p, j) of the field the flags name, checked but not built."""
     if args.q is None and args.p is None:
         raise ValueError("a field is required: give --q, or --p with optional --j")
-    return _checked_order(args.q, args.p, args.j)
+    return _checked_order(args.q) if args.q is not None else _checked_pj(args.p, args.j)
 
 
 def _cap(args) -> int:

@@ -190,7 +190,7 @@ class GF:
     __slots__ = ("p", "j", "q", "reducing_poly", "_exp", "_log", "_exp_array", "_log_array")
 
     def __init__(self, p: int, j: int = 1):
-        self.p, self.j = _checked_order(None, p, j)
+        self.p, self.j = _checked_pj(p, j)
         self.q = p**j
         self.reducing_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, j) if j > 1 else None
@@ -327,17 +327,19 @@ class GF:
         return f"GF({self.q})=GF({self.p}^{self.j}, {_poly_str(self.reducing_poly)})"
 
 
-def _checked_order(q: int | None, p: int | None = None, j: int = 1) -> tuple[int, int]:
-    """(p, j) of the field of order q, or of GF(p^j) when q is None, refused
-    as ``field_for_order`` and ``GF`` refuse them, but with no table built, so
-    a caller can check its own caps on q before paying for the field."""
-    if q is not None:
-        if q > ORDER_CAP:  # before factoring, which tests primality
-            raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
-        pj = factor_prime_power(q)
-        if pj is None:
-            raise ValueError(f"{q} is not a prime power")
-        return pj
+def _checked_order(q: int) -> tuple[int, int]:
+    """(p, j) of the field of order q, refused as ``field_for_order`` refuses
+    it but with no table built, so a caller can check its caps on q first."""
+    if q > ORDER_CAP:  # before factoring, which tests primality
+        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+    pj = factor_prime_power(q)
+    if pj is None:
+        raise ValueError(f"{q} is not a prime power")
+    return pj
+
+
+def _checked_pj(p: int, j: int) -> tuple[int, int]:
+    """(p, j), refused as ``GF(p, j)`` refuses them but with no table built."""
     if p < 2:
         raise ValueError(f"{p} is not prime")
     if j < 1:

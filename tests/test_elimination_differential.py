@@ -128,9 +128,12 @@ def _construction_verdict(build):
     with mock.patch.object(designs, "row_space", row_space), \
             mock.patch.object(designs, "first_dependent", counted):
         try:
-            return _refusal(build), len(calls)
+            verdict = _refusal(build)
         except _Checked:
             return None, len(calls)
+    if verdict is None:
+        raise AssertionError("the construction neither failed nor built its row space")
+    return verdict, len(calls)
 
 
 @st.composite
