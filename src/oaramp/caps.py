@@ -1,7 +1,7 @@
-"""The size caps that keep every exhaustive verdict bounded: each cap's
-default, the count of the work it bounds, and the one refusal, raised before
-any of that work starts.  Counts are written in full, except that a cell or
-rule-visit count of 20 digits or more is written as its formula.
+"""The three size caps, on cells, column subsets and rule visits, that keep
+every exhaustive verdict bounded: each one's default, the count of the work
+it bounds, and the one refusal, raised before that work starts.  Counts are
+written in full, but from 20 digits on a cell or rule-visit count is its formula.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from typing import Sequence
 from .errors import CapExceeded
 
 CELLS = 10**7  # of a row space, or of an array under verification
-SUBSETS = 10**5  # column subsets that one verification scans
+SUBSETS = 10**5  # column subsets that one verification (or verify_mds) scans
 RULE_VISITS = 10**7  # of one security audit
-# Cell comparisons (row pairs times columns) for verify_mds on an array that
-# is not a linear code: 3-4 s of pairwise scan on a 2-vCPU host, enough for
-# any one-cell corruption of OA(2,129,128) or OA(3,33,32).
-COMPARISONS = 2 * 10**10
 
 _EXACT_BELOW = 10**20
 
@@ -58,11 +54,6 @@ def check_verify(v: int, t: int, width: int, k: int, sizes: Sequence[int],
 def check_subsets(k: int, sizes: Sequence[int]) -> None:
     for size in sizes:
         _refuse(math.comb(k, size), SUBSETS, "verification needs %s column subsets")
-
-
-def check_pairwise(rows: int, k: int) -> None:
-    _refuse(rows * (rows - 1) // 2 * k, COMPARISONS,
-            "pairwise distance check needs %s cell comparisons")
 
 
 def check_audit(rules: int, n: int, s: int, t: int, ideal: bool, max_visits: int) -> int:

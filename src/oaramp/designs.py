@@ -213,38 +213,46 @@ def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, n
     return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
 
 
-def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int] | None:
+def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int]:
     """The first tuple over ``cols`` not in exactly one row of ``grid``, with its
-    row count, or None.  The smallest base-v key is the lexicographically
-    smallest tuple, so this is the first offender in canonical scan order.
-    Callers first check that there are v^len(cols) rows, which bounds the keys;
-    ``_coverage_scan`` calls it only on a subset its mark pass has failed.
+    row count.  The smallest base-v key is the lexicographically smallest
+    tuple, so this is the first offender in canonical scan order.  Only
+    ``_coverage_scan`` calls it, on v^len(cols) rows, which bound the keys,
+    and on a subset where ``_first_repeat`` has found a repeated tuple.
     """
     dims = (v,) * len(cols)
     counts = _tally(np.ravel_multi_index(grid[:, list(cols)].T, dims), v ** len(cols))
     bad = np.flatnonzero(counts != 1)
-    if not bad.size:
-        return None
     digits = np.unravel_index(bad[0], dims)
     return tuple(int(d) for d in digits), int(counts[bad[0]])
 
 
 def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
-    """The row count, then for each (subsets, tail, kind) check the coverage
-    of each column tuple of ``subsets``, in the order given, joined with the
-    columns ``tail``; the first failure is the witness.
-
-    With v^t rows, every tuple occurs once exactly when every base-v key is
-    hit, so keys are marked in one reused buffer and only a failing subset is
-    counted, by ``_coverage``.  A subset's last column has place value 1; the
-    rest of its key is summed once per run of subsets sharing leading columns.
-    """
+    """The row count, then the first subset ``_first_repeat`` finds among
+    ``checks``, counted by ``_coverage`` for the witness."""
     if len(a.grid) != a.expected_rows:
         return VerifyResult(False, Witness(
             "row_count", count=len(a.grid), expected=a.expected_rows))
-    columns = a.grid.T.astype(np.int32 if len(a.grid) <= 2**31 else np.int64, order="C")
+    found = _first_repeat(a, checks)
+    if found is None:
+        return VerifyResult(True)
+    cols, tail, kind = found
+    return VerifyResult(False, Witness(kind, cols, *_coverage(a.grid, cols + tail, a.v)))
+
+
+def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
+    """The first (cols, tail, kind) of ``checks``, each one's subsets in the
+    order given, whose columns cols + tail hold a tuple in two rows of ``a``;
+    or None.  ``a`` has at most v^t rows: a projection's base-v keys lie below
+    v^t and are marked in one reused buffer of v^t cells, and a tuple repeats
+    exactly when fewer keys are marked than there are rows.  A subset's last
+    column has place value 1; the rest of its key is summed once per run of
+    subsets sharing leading columns.
+    """
+    size = a.expected_rows
+    columns = a.grid.T.astype(np.int32 if size <= 2**31 else np.int64, order="C")
     key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
-    hit = np.empty(len(a.grid), dtype=bool)
+    hit = np.empty(size, dtype=bool)
     places = [a.v**e for e in range(a.t - 1, -1, -1)]
     for subsets, tail, kind in checks:
         lead = None
@@ -255,10 +263,9 @@ def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
             np.add(partial, columns[cols[-1]] if cols else 0, out=key)
             hit.fill(False)
             hit[key] = True
-            if not hit.all():
-                found = _coverage(a.grid, cols + tail, a.v)
-                return VerifyResult(False, Witness(kind, cols, *found))
-    return VerifyResult(True)
+            if np.count_nonzero(hit) < len(key):
+                return cols, tail, kind
+    return None
 
 
 def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
@@ -275,25 +282,28 @@ def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
 def verify_mds(a: OrthogonalArray) -> bool:
     """Check that all pairwise Hamming distances between rows are >= k - t + 1.
 
-    An array whose rows are exactly a linear code over GF(v) is certified by
-    ``_least_code_weight``: the difference of two codewords is a codeword, so
-    the least distance between rows is the least weight of a nonzero row
-    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1).
-    Every other array has its N(N-1)/2 * k cell comparisons checked against
-    ``caps.COMPARISONS``, then every pair of rows compared.  Both paths read
-    the distances off the rows, independently of the coverage kernel that
-    verify_oa uses.
+    Two rows closer than that agree on some t columns, so the check asks
+    whether any t columns hold a tuple twice (the Singleton argument,
+    MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1):
+    more than v^t rows always do.  An array whose rows are exactly a linear
+    code over GF(v) is certified by ``_least_code_weight`` without a scan:
+    the difference of two codewords is a codeword, so the least distance
+    between rows is the least weight of a nonzero row.  Every other array
+    has its C(k, t) column subsets checked against ``caps.SUBSETS``, then
+    each marked by ``_first_repeat``, the kernel verify_oa uses.
     """
     caps.check_verify(a.v, a.t, a.k, a.k, [], caps.CELLS)
-    need = a.k - a.t + 1
     n = len(a.grid)
     if n < 2:
         return True
+    if n > a.expected_rows:
+        return False
     weight = _least_code_weight(a)
     if weight is not None:
-        return weight >= need
-    caps.check_pairwise(n, a.k)
-    return _pairwise_at_least(a.grid, need)
+        return weight >= a.k - a.t + 1
+    caps.check_subsets(a.k, [a.t])
+    subsets = itertools.combinations(range(a.k), a.t)
+    return _first_repeat(a, [(subsets, (), "column_subset")]) is None
 
 
 def _least_code_weight(a: OrthogonalArray) -> int | None:
@@ -321,35 +331,6 @@ def _least_code_weight(a: OrthogonalArray) -> int | None:
     if not np.array_equal(row_space(basis, a.grid.size), a.grid):
         return None
     return int(np.count_nonzero(a.grid[1:], axis=1).min())
-
-
-# Cells of one block of pairwise distances in ``_pairwise_at_least``: bounds
-# its temporaries.
-_PAIR_BLOCK = 2**22
-
-
-def _pairwise_at_least(grid: np.ndarray, need: int) -> bool:
-    """Whether every two rows of ``grid`` differ in at least ``need`` columns.
-
-    Each block of rows is compared with every later row, one column at a
-    time on a column-major copy narrowed to the least unsigned type that
-    holds its largest symbol, its differences counted in the least type that
-    holds the width; the scan stops at the first block with a distance below
-    ``need``.
-    """
-    n, k = grid.shape
-    columns = grid.T.astype(np.min_scalar_type(int(grid.max())), order="C")
-    step = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step, n - 1)
-        dist = np.zeros((hi - lo, n - 1 - lo), dtype=np.min_scalar_type(k))
-        for column in columns:
-            dist += column[lo:hi, None] != column[None, lo + 1:]
-        # dist[i, j] compares rows lo + i and lo + 1 + j, a pair only for j >= i
-        dist[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = need
-        if dist.min() < need:
-            return False
-    return True
 
 
 def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:

@@ -1,6 +1,8 @@
 """The cap policy lives in ``caps``: no other module constructs the refusal,
-and the audit stays bounded however large the scheme: its count of rule
-visits, and its failure records, which hold no per-secret table."""
+every public check is called from another module, so a deleted path leaves
+no dead cap behind, and the audit stays bounded however large the scheme:
+its count of rule visits, and its failure records, which hold no per-secret
+table."""
 
 import ast
 import contextlib
@@ -34,6 +36,20 @@ def test_cap_exceeded_is_constructed_in_caps_alone():
     modules = sorted(p.name for p in PACKAGE.glob("*.py")
                      if _constructs_cap_exceeded(p.read_text(encoding="utf-8")))
     assert modules == ["caps.py"]
+
+
+def test_every_public_check_is_called_from_another_module():
+    tree = ast.parse((PACKAGE / "caps.py").read_text(encoding="utf-8"))
+    checks = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "caps.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and getattr(node.func.value, "id", None) == "caps"):
+                    called.add(node.func.attr)
+    assert checks and checks <= called, sorted(checks - called)
 
 
 class Overrun(Exception):

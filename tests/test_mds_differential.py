@@ -1,14 +1,15 @@
-"""``verify_mds`` against the pairwise distance oracle, and its two paths.
+"""``verify_mds`` against the pairwise distance oracle, and its paths.
 
 Linear arrays (Reed-Solomon arrays and their column subsets, split Shamir
 arrays, the row spaces of random generators of any rank, so with and without
 duplicate rows) are certified as linear codes and must give the oracle's
-verdict without a pairwise comparison.  One-cell corruptions, per-column
-symbol relabellings (distances kept, linearity lost), duplicated rows, one
-row, alphabets that are not prime powers (6, 10, 12) and a prime alphabet
-above the field order cap go to the pairwise scan, which must agree with the
-oracle too, at every block size, and which is refused before any comparison
-when its count passes ``caps.COMPARISONS``.
+verdict without reaching the coverage scan.  Arrays with more than v^t rows
+are refused before the certificate and the scan.  One-cell corruptions,
+per-column symbol relabellings (distances kept, linearity lost), proper row
+subsets, duplicated rows, one row, alphabets that are not prime powers
+(6, 10, 12) and a prime alphabet above the field order cap go to the scan,
+which must agree with the oracle too, and which is refused before any
+subset is marked when its C(k, t) subsets pass ``caps.SUBSETS``.
 """
 
 import io
@@ -116,7 +117,7 @@ def test_column_relabellings_keep_the_verdict(a, data):
 def test_a_shifted_column_leaves_no_linear_code():
     """x -> x + 1 in the first column moves the zero row off zero and gives
     the code's translate by e_1, which is no linear code: its distances are
-    the code's, and the pairwise scan finds them."""
+    the code's, and the scan finds them."""
     a = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
     b = same_params(a, [[(row[0] + 1) % 5, *row[1:]] for row in a.rows])
     assert designs._least_code_weight(a) == 5
@@ -150,22 +151,21 @@ def test_alphabets_without_a_field_match_the_oracle(v, data):
     check(a)
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 2, 5, 10**6])
-def test_pairwise_scan_finds_the_least_distance_at_any_block_size(monkeypatch, rows_per_block):
-    """The scan passes at the oracle's least distance d and fails at d + 1,
-    with blocks of one row, of a few rows and of the whole array."""
+def test_the_scan_finds_the_least_distance():
+    """An array of least distance d passes at t = k-d+1 and fails at t = k-d:
+    a Reed-Solomon array over GF(5), a product array over Z_6, and the former
+    with one cell corrupted near the start, inside and at the last row."""
     base = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
     arrays = [base, OrthogonalArray(2, 3, 6, [[x, y, (x * y) % 6] for x in range(6)
                                               for y in range(6)])]
-    for i in (0, 7, 24):  # a corruption near the start, inside, at the last row
+    for i in (0, 7, 24):
         rows = [list(r) for r in base.rows]
         rows[i][i % base.k] = (rows[i][i % base.k] + 1) % 5
         arrays.append(same_params(base, rows))
     for a in arrays:
-        monkeypatch.setattr(designs, "_PAIR_BLOCK", rows_per_block * len(a.grid))
         d = oracles.min_distance(a.rows)
-        assert designs._pairwise_at_least(a.grid, d)
-        assert not designs._pairwise_at_least(a.grid, d + 1)
+        assert verify_mds(OrthogonalArray(a.k - d + 1, a.k, a.v, a.grid))
+        assert not verify_mds(OrthogonalArray(a.k - d, a.k, a.v, a.grid))
 
 
 def _fail(*args):
@@ -179,37 +179,62 @@ def _construct(q, t):
     return load_array(out.getvalue())
 
 
-def test_linear_arrays_take_no_pairwise_step(monkeypatch):
+def test_linear_arrays_never_reach_the_scan(monkeypatch):
     """Acceptance criterion 1's arrays and the benchmark's OA(2,17,16)."""
-    monkeypatch.setattr(designs, "_pairwise_at_least", _fail)
+    monkeypatch.setattr(designs, "_first_repeat", _fail)
     cases = [(q, t) for q in (2, 3, 4, 5, 7, 8, 9) for t in range(2, min(q, 4) + 1)]
     for q, t in [*cases, (16, 2)]:
         assert verify_mds(_construct(q, t)), (q, t)
 
 
-def test_pairwise_cap_is_checked_before_any_comparison(monkeypatch):
+def test_the_subset_cap_is_checked_before_any_scan(monkeypatch):
     linear = oa_from_generator(rs_generator(field_for_order(3), 2), 2)
     rows = [list(r) for r in linear.rows]
     rows[4][1] = (rows[4][1] + 1) % 3
-    corrupted = same_params(linear, rows)  # 9 rows x 4 columns: 36 * 4 comparisons
-    monkeypatch.setattr(designs, "_pairwise_at_least", _fail)
-    monkeypatch.setattr(caps, "COMPARISONS", 143)
-    with pytest.raises(CapExceeded, match="needs 144 cell comparisons, cap is 143"):
+    corrupted = same_params(linear, rows)  # 4 columns: C(4, 2) = 6 subsets
+    monkeypatch.setattr(designs, "_first_repeat", _fail)
+    monkeypatch.setattr(caps, "SUBSETS", 5)
+    with pytest.raises(CapExceeded, match="^verification needs 6 column subsets, cap is 5$"):
         verify_mds(corrupted)
-    monkeypatch.setattr(caps, "COMPARISONS", 0)
+    monkeypatch.setattr(caps, "SUBSETS", 0)
     assert verify_mds(linear)  # a linear code is certified whatever the cap
     monkeypatch.undo()
-    monkeypatch.setattr(caps, "COMPARISONS", 144)
+    monkeypatch.setattr(caps, "SUBSETS", 6)
     assert not verify_mds(corrupted)
 
 
-def test_a_prime_alphabet_above_the_field_cap_is_scanned_pairwise(monkeypatch):
+def test_a_prime_alphabet_above_the_field_cap_is_scanned(monkeypatch):
     """65537 rows (x, 3x mod 65537) are a linear code over GF(65537), but no
-    field is built above the cap: the pairwise scan gives the verdict."""
+    field is built above the cap: the scan gives the verdict."""
     v = ORDER_CAP + 1
     a = OrthogonalArray(1, 2, v, [[x, 3 * x % v] for x in range(v)])
     seen = []
+    scan = designs._first_repeat
     monkeypatch.setattr(designs, "field_for_order", _fail)
-    monkeypatch.setattr(designs, "_pairwise_at_least",
-                        lambda grid, need: seen.append(need) or True)
-    assert verify_mds(a) and seen == [2]
+    monkeypatch.setattr(designs, "_first_repeat",
+                        lambda b, checks: seen.append(len(b.grid)) or scan(b, checks))
+    assert verify_mds(a) and seen == [v]
+    rows = [[x, 3 * x % v] for x in range(v)]
+    rows[5][1] = rows[6][1]
+    assert not verify_mds(same_params(a, rows)) and seen == [v, v]
+
+
+@SETTINGS
+@given(linear_arrays(), st.data())
+def test_proper_row_subsets_match_the_oracle(a, data):
+    """Fewer than v^t rows of a linear array: seldom a linear code, so
+    scanned, and mostly MDS still."""
+    n = data.draw(st.integers(1, min(len(a.grid), a.expected_rows) - 1))
+    order = data.draw(st.permutations(range(len(a.grid))))
+    check(same_params(a, a.grid[sorted(order[:n])]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [1, 1, 1]],
+    [[0, 0, 0]] * 200_000,
+])
+def test_more_than_v_to_the_t_rows_are_refused_at_once(monkeypatch, rows):
+    """v^t + 1 rows, or many more, repeat a tuple on every t columns."""
+    monkeypatch.setattr(designs, "_least_code_weight", _fail)
+    monkeypatch.setattr(designs, "_first_repeat", _fail)
+    assert not verify_mds(OrthogonalArray(2, 3, 2, rows))
