@@ -19,7 +19,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -212,26 +212,6 @@ def _buckets(key: np.ndarray, size: int) -> tuple[np.ndarray, list[int]]:
     return order, np.concatenate(([0], np.cumsum(_tally(key, size)))).tolist()
 
 
-def _dense(key: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-    """Keys in [0, size) as they are, with ``size``; or, above the dense-table
-    limit, their ranks among the distinct keys, with the number of those."""
-    if size <= designs._DENSE_CELLS:
-        return key, size
-    distinct, rank = np.unique(key, return_inverse=True)
-    return rank, len(distinct)
-
-
-def _distinct(group: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """For each group id 0..max(group), how many distinct values it holds: the
-    column sums of a (values x groups) table marked at each (value, group)."""
-    groups, m = int(group.max()) + 1, int(value.max()) + 1
-    if groups * m > designs._DENSE_CELLS:
-        return _tally(np.unique(group * m + value) // m, groups)
-    table = np.zeros((m, groups), dtype=bool)
-    table[value, group] = True
-    return table.sum(axis=0, dtype=np.int32)  # a sum down contiguous rows
-
-
 # ---------------------------------------------------------------------------
 # constructions and transforms
 
@@ -403,6 +383,49 @@ class AuditReport:
         return self.ok
 
 
+_BLOCK_CELLS = 2**16  # of one audit block: its subsets' rows and count tables
+
+
+def _blocks(items: Iterable, cells: int) -> Iterator[list]:
+    """``items`` in order, max(1, _BLOCK_CELLS // cells) to a list."""
+    items = iter(items)
+    while block := list(itertools.islice(items, max(1, _BLOCK_CELLS // cells))):
+        yield block
+
+
+def _projections(columns: np.ndarray, block: list, v: int) -> np.ndarray:
+    """A (subsets, rows) array: each row's projection onto each column subset
+    in ``block`` as an id that ascends with the projection, its base-v key or,
+    above the dense-table limit, its rank among the subset's projections."""
+    cols = np.array(block, dtype=np.intp).reshape(len(block), -1)
+    if v ** cols.shape[1] <= designs._DENSE_CELLS:
+        key = np.zeros((len(block), columns.shape[1]), dtype=np.int64)
+        for c in cols.T:
+            key *= v
+            key += columns[c]
+        return key
+    tuples = np.dstack(np.broadcast_arrays(np.arange(len(block))[:, None], *columns[cols.T]))
+    rank = np.unique(tuples.reshape(-1, tuples.shape[2]), axis=0, return_inverse=True)[1]
+    rank = rank.reshape(len(block), -1)
+    return rank - rank.min(axis=1, keepdims=True)
+
+
+def _groups(key: np.ndarray, m: int, size: int) -> tuple[np.ndarray, ...]:
+    """The groups present among keys group * m + value in [0, size),
+    ascending; how many of the m values each holds; and whether those m,
+    absent ones included, are held unequally often.  The keys are counted
+    in a dense (groups x m) table, or above its limit by ``np.unique``."""
+    if size <= designs._DENSE_CELLS:
+        count = _tally(key, size).reshape(-1, m)
+        held = np.count_nonzero(count, axis=1)
+        present = np.flatnonzero(held)
+        return present, held[present], (count.min(axis=1) != count.max(axis=1))[present]
+    distinct, count = np.unique(key, return_counts=True)
+    present, start, held = np.unique(distinct // m, return_index=True, return_counts=True)
+    return present, held, (held < m) | (np.minimum.reduceat(count, start)
+                                        != np.maximum.reduceat(count, start))
+
+
 def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditReport:
     """Exhaustive information-theoretic audit of the scheme's rule table.
 
@@ -413,74 +436,70 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
     under the uniform secret prior) needs every secret to have equally many
     of them.  For ideal schemes it also checks, for each size-s subset, each
     projection, and each disjoint (t-s)-subset, that secrets map one-to-one
-    onto the projections of the consistent rules there -- the fact that makes
-    reconstruction well defined.
+    onto the projections of the consistent rules there (#secrets of them,
+    none reached from two) -- the fact that makes reconstruction well
+    defined.  Subsets of one size, and pairs, are counted in blocks of
+    ``_BLOCK_CELLS``; only failing groups are read one at a time.
     """
-    n, s, t = sch.n, sch.s, sch.t
+    n, s, t, v = sch.n, sch.s, sch.t, sch.v
     subsets = caps.check_audit(len(sch.weights), n, s, t, sch.is_ideal, max_work)
 
     grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
-    ranks = functools.cache(  # a column subset's distinct projections, each row's rank
-        lambda cols: _ranks(grid, cols, sch.v))
+    rows, columns = len(grid), np.ascontiguousarray(grid[:, :n].T)
+    bound = lambda width: v**width if v**width <= designs._DENSE_CELLS else rows  # ids lie below
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
-    weak_ok = True
-    perfect_ok: bool | None = True if check_perfect else None
     groups = 0
 
     for size in range(s + 1):
-        for subset in itertools.combinations(range(n), size):
-            players = tuple(p + 1 for p in subset)
-            projs, proj = ranks(subset)
-            weak = bad = _distinct(proj, sid) < n_secrets
-            if check_perfect:
-                pair, pairs = _dense(proj * n_secrets + sid, len(projs) * n_secrets)
-                hits = _tally(pair, pairs)[pair]  # rules sharing each row's (proj, secret)
-                bad = weak | (_distinct(proj, hits) > 1)
-            groups += len(projs)
-            for g in np.flatnonzero(bad).tolist():
-                projection = tuple(projs[g].tolist())
-                if weak[g]:
-                    weak_ok = False
-                    present = np.zeros(n_secrets, dtype=bool)
-                    present[sid[proj == g]] = True
-                    check = "weak"
-                    detail = f"secret {sch.secrets[int(present.argmin())]} has no consistent rule"
+        m = bound(size)
+        for block in _blocks(itertools.combinations(range(n), size), rows + m * n_secrets):
+            proj = _projections(columns, block, v)
+            key = (np.arange(len(block))[:, None] * m + proj) * n_secrets + sid
+            present, held, uneven = _groups(key.ravel(), n_secrets, len(block) * m * n_secrets)
+            groups += len(present)
+            for i in np.flatnonzero(uneven if check_perfect else held < n_secrets).tolist():
+                b, g = divmod(int(present[i]), m)
+                at = np.flatnonzero(proj[b] == g)
+                if held[i] < n_secrets:
+                    missing = sch.secrets[int(_tally(sid[at], n_secrets).argmin())]
+                    check, detail = "weak", f"secret {missing} has no consistent rule"
                 else:
-                    perfect_ok = False
                     check, detail = "perfect", "consistent-rule weights differ between secrets"
-                failures.append(AuditFailure(check, players, projection, detail))
+                failures.append(AuditFailure(check, tuple(p + 1 for p in block[b]),
+                                             tuple(grid[at[0], list(block[b])].tolist()), detail))
 
-    bijection_ok: bool | None = None
     if sch.is_ideal:
-        bijection_ok = True
-        for subset in itertools.combinations(range(n), s):
-            players = tuple(p + 1 for p in subset)
-            proj0s, proj0 = ranks(subset)
-            key = _dense(proj0 * n_secrets + sid, len(proj0s) * n_secrets)[0]
-            seen = _distinct(proj0, sid)
-            rest = [p for p in range(n) if p not in subset]
-            for p1 in itertools.combinations(rest, t - s):
-                other = tuple(p + 1 for p in p1)
-                proj1 = ranks(p1)[1]
-                ways = _distinct(key, proj1)[key]  # proj1 images of each row's (proj0, secret)
-                split = ways > 1
-                bad = (seen != n_secrets) | (_distinct(proj0, proj1) != n_secrets)
-                bad[proj0[split]] = True
-                groups += len(proj0s)
-                for g in np.flatnonzero(bad).tolist():
-                    bijection_ok = False
-                    rows = np.flatnonzero((proj0 == g) & split)
-                    if rows.size:
-                        r = rows[np.argmin(sid[rows])]
-                        detail = (f"secret {sch.secrets[sid[r]]} projects onto {other} "
-                                  f"in {ways[r]} different ways")
-                    else:
-                        detail = f"secret-to-projection map onto {other} is not one-to-one"
-                    projection = tuple(proj0s[g].tolist())
-                    failures.append(AuditFailure("bijection", players, projection, detail))
+        m0, m1 = bound(s), bound(t - s)
+        pairs = ((p0, p1) for p0 in itertools.combinations(range(n), s)
+                 for p1 in itertools.combinations([p for p in range(n) if p not in p0], t - s))
+        for block in _blocks(pairs, rows + m0 * max(n_secrets, m1)):
+            p0s, p1s = zip(*block)
+            group = np.arange(len(block))[:, None] * m0 + _projections(columns, p0s, v)
+            proj1 = _projections(columns, p1s, v)
+            present, images, _ = _groups((group * m1 + proj1).ravel(), m1, len(block) * m0 * m1)
+            key = group * n_secrets + sid
+            if len(block) * m0 * n_secrets > designs._DENSE_CELLS:
+                key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+            first = np.empty(int(key.max()) + 1, dtype=np.int64)
+            first[key] = proj1  # one of each (group, secret)'s projections
+            split = np.zeros(len(block) * m0, dtype=bool)
+            split[group[first[key] != proj1]] = True
+            groups += len(present)
+            for i in np.flatnonzero((images != n_secrets) | split[present]).tolist():
+                b = int(present[i]) // m0
+                at = np.flatnonzero(group[b] == present[i])
+                other = tuple(p + 1 for p in p1s[b])
+                owner, ways, _ = _groups(sid[at] * m1 + proj1[b, at], m1, n_secrets * m1)
+                torn = np.flatnonzero(ways > 1)  # the secrets with two projections here
+                detail = (f"secret {sch.secrets[owner[torn[0]]]} projects onto {other} in "
+                          f"{ways[torn[0]]} different ways" if torn.size else
+                          f"secret-to-projection map onto {other} is not one-to-one")
+                failures.append(AuditFailure("bijection", tuple(p + 1 for p in p0s[b]),
+                                             tuple(grid[at[0], list(p0s[b])].tolist()), detail))
 
-    ok = weak_ok and (perfect_ok is not False) and (bijection_ok is not False)
-    return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
-                       subsets_checked=subsets,
-                       groups_checked=groups, failures=tuple(failures))
+    failed = {f.check for f in failures}
+    return AuditReport(not failures, "weak" not in failed,
+                       "perfect" not in failed if check_perfect else None,
+                       "bijection" not in failed if sch.is_ideal else None,
+                       subsets_checked=subsets, groups_checked=groups, failures=tuple(failures))

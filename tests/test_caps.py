@@ -1,19 +1,21 @@
 """The cap policy lives in ``caps``: no other module constructs the refusal,
 every public check is called from another module, so a deleted path leaves
 no dead cap behind, and the audit stays bounded however large the scheme:
-its count of rule visits, and its failure records, which hold no per-secret
-table."""
+its count of rule visits, its failure records, which hold no per-secret
+table, and its working memory, which its blocks of subsets bound."""
 
 import ast
 import contextlib
 import signal
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oaramp import caps
 from oaramp.errors import CapExceeded
-from oaramp.ramp import RampScheme, audit_security
+from oaramp.gf import field_for_order
+from oaramp.ramp import RampScheme, audit_security, scheme_shamir
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oaramp"
 
@@ -108,3 +110,18 @@ def test_failure_records_grow_with_the_failures_not_with_the_secrets():
     first = report.failures[0]
     assert (first.check, first.players, first.projection) == ("weak", (1,), (0,))
     assert first.detail == "secret (1,) has no consistent rule"
+
+
+def test_a_large_audit_stays_within_a_fixed_memory_bound():
+    # 14,641 rules, 37 subsets of size <= 2 and 420 pairs: the audit's
+    # blocks hold a few MiB however many subsets there are
+    sch = scheme_shamir(field_for_order(11), 2, 4, 8)
+    tracemalloc.start()
+    try:
+        report = audit_security(sch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and not report.failures
+    assert (report.subsets_checked, report.groups_checked) == (457, 54297)
+    assert peak < 32 * 2**20

@@ -17,6 +17,7 @@ must equal a full ``verify_oa`` of the expanded array.
 
 import dataclasses
 import itertools
+import math
 import random
 from operator import itemgetter
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oaramp.designs
+import oaramp.ramp
 from oaramp.designs import (
     AugmentedOA,
     ColumnDependency,
@@ -409,6 +411,45 @@ def test_audit_with_every_table_over_the_limit_matches_oracle(sch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oaramp.designs, "_DENSE_CELLS", 1)
         assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(schemes)
+def test_audit_one_subset_per_block_matches_oracle(sch):
+    """A block budget of one cell takes every subset and every pair alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oaramp.ramp, "_BLOCK_CELLS", 1)
+        assert plain(audit_security(sch)) == oracles.audit_security(sch)
+
+
+@SETTINGS
+@given(schemes)
+def test_audit_with_pairs_split_across_blocks_matches_oracle(sch):
+    """A budget of C(n-s, t-s) - 1 pairs per block (at least one) puts the
+    first s-subset's pairs in two blocks.  A scheme that is not ideal has
+    no pairs and takes its last size of subsets two to a block."""
+    blocks = oaramp.ramp._blocks
+    calls = []
+
+    def spy(items, cells):
+        calls.append((cells, list(blocks(items, cells))))
+        return iter(calls[-1][1])
+
+    per_block = 2
+    if sch.is_ideal:
+        per_block = max(1, math.comb(sch.n - sch.s, sch.t - sch.s) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oaramp.ramp, "_blocks", spy)
+        audit_security(sch)  # the last call's cells are those of a pair
+        mp.setattr(oaramp.ramp, "_BLOCK_CELLS", per_block * calls[-1][0])
+        calls.clear()
+        assert plain(audit_security(sch)) == oracles.audit_security(sch)
+    if not sch.is_ideal:
+        return
+    pairs = calls[-1][1]
+    assert all(len(block) == per_block for block in pairs[:-1])
+    if per_block > 1:  # the first s-subset's last pair opens the second block
+        assert pairs[1][0][0] == pairs[0][0][0]
 
 
 @SETTINGS
