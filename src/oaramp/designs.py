@@ -240,25 +240,19 @@ def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
     return VerifyResult(False, Witness(kind, cols, *_coverage(a.grid, cols + tail, a.v)))
 
 
-# In ``_first_repeat`` a row of the slot table costs about as much as 32 cells
-# of the buffer, and the slot table's extra numpy call per subset about 128 rows.
-_FEW_ROWS = 32
-
-
 def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
     """The first (cols, tail, kind) of ``checks``, each one's subsets in the
     order given, whose columns cols + tail hold a tuple in two rows of ``a``;
-    or None.  ``a`` has at most v^t rows, whose base-v keys on a projection lie
-    below v^t: a tuple repeats when fewer keys are marked in one reused v^t-cell
-    buffer than there are rows or, with far fewer rows, when a row reads another
-    row's index back at its key.  A subset's last column has place value 1; the
-    rest of its key is summed once per run of subsets sharing leading columns.
+    or None.  ``a`` has at most v^t rows: a projection's base-v keys lie below
+    v^t and are marked in one reused buffer of v^t cells, and a tuple repeats
+    exactly when fewer keys are marked than there are rows.  A subset's last
+    column has place value 1; the rest of its key is summed once per run of
+    subsets sharing leading columns.
     """
-    size, rows = a.expected_rows, len(a.grid)
+    size = a.expected_rows
     columns = a.grid.T.astype(np.int32 if size <= 2**31 else np.int64, order="C")
-    key = np.empty(rows, dtype=np.intp)  # numpy indexes fastest by intp
-    few, order = (rows + 128) * _FEW_ROWS < size, np.arange(rows)
-    mark = np.empty(size, dtype=np.intp if few else bool)
+    key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
+    hit = np.empty(size, dtype=bool)
     places = [a.v**e for e in range(a.t - 1, -1, -1)]
     for subsets, tail, kind in checks:
         lead = None
@@ -267,14 +261,9 @@ def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
                 lead = cols[:-1]
                 partial = sum(columns[c] * p for c, p in zip(lead + tail, places))
             np.add(partial, columns[cols[-1]] if cols else 0, out=key)
-            if few:
-                mark[key] = order
-                repeat = np.count_nonzero(mark[key] != order)
-            else:
-                mark.fill(False)
-                mark[key] = True
-                repeat = np.count_nonzero(mark) < rows
-            if repeat:
+            hit.fill(False)
+            hit[key] = True
+            if np.count_nonzero(hit) < len(key):
                 return cols, tail, kind
     return None
 

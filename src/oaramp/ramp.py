@@ -393,12 +393,13 @@ def _blocks(items: Iterable, cells: int) -> Iterator[list]:
         yield block
 
 
-def _projections(columns: np.ndarray, block: list, v: int) -> np.ndarray:
+def _projections(columns: np.ndarray, block: list, v: int, m: int) -> np.ndarray:
     """A (subsets, rows) array: each row's projection onto each column subset
-    in ``block`` as an id that ascends with the projection, its base-v key or,
-    above the dense-table limit, its rank among the subset's projections."""
+    in ``block`` as an id below ``m`` that ascends with the projection, its
+    base-v key if those lie below m, else its rank among the subset's
+    projections."""
     cols = np.array(block, dtype=np.intp).reshape(len(block), -1)
-    if v ** cols.shape[1] <= designs._DENSE_CELLS:
+    if v ** cols.shape[1] <= m:
         key = np.zeros((len(block), columns.shape[1]), dtype=np.int64)
         for c in cols.T:
             key *= v
@@ -410,17 +411,18 @@ def _projections(columns: np.ndarray, block: list, v: int) -> np.ndarray:
     return rank - rank.min(axis=1, keepdims=True)
 
 
-def _groups(key: np.ndarray, m: int, size: int) -> tuple[np.ndarray, ...]:
-    """The groups present among keys group * m + value in [0, size),
-    ascending; how many of the m values each holds; and whether those m,
-    absent ones included, are held unequally often.  The keys are counted
-    in a dense (groups x m) table, or above its limit by ``np.unique``."""
-    if size <= designs._DENSE_CELLS:
-        count = _tally(key, size).reshape(-1, m)
-        held = np.count_nonzero(count, axis=1)
+def _groups(group: np.ndarray, value: np.ndarray, groups: int, m: int) -> tuple[np.ndarray, ...]:
+    """For rows in ``group`` holding ``value`` in [0, m): the groups that hold
+    a row, ascending; how many of the m values each holds; and whether those
+    m, absent ones included, are held unequally often.  The rows are counted
+    in a dense (m x groups) table, each group reduced down contiguous rows,
+    or above its limit by ``np.unique``."""
+    if groups * m <= designs._DENSE_CELLS:
+        count = _tally((value * groups + group).ravel(), groups * m).reshape(m, groups)
+        held = np.count_nonzero(count, axis=0)
         present = np.flatnonzero(held)
-        return present, held[present], (count.min(axis=1) != count.max(axis=1))[present]
-    distinct, count = np.unique(key, return_counts=True)
+        return present, held[present], (count.min(axis=0) != count.max(axis=0))[present]
+    distinct, count = np.unique((group * m + value).ravel(), return_counts=True)
     present, start, held = np.unique(distinct // m, return_index=True, return_counts=True)
     return present, held, (held < m) | (np.minimum.reduceat(count, start)
                                         != np.maximum.reduceat(count, start))
@@ -446,7 +448,8 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
 
     grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
     rows, columns = len(grid), np.ascontiguousarray(grid[:, :n].T)
-    bound = lambda width: v**width if v**width <= designs._DENSE_CELLS else rows  # ids lie below
+    # projection ids lie below this: base-v keys where no more than the rows
+    bound = lambda width: v**width if v**width <= min(rows, designs._DENSE_CELLS) else rows
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
     groups = 0
@@ -454,9 +457,9 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
     for size in range(s + 1):
         m = bound(size)
         for block in _blocks(itertools.combinations(range(n), size), rows + m * n_secrets):
-            proj = _projections(columns, block, v)
-            key = (np.arange(len(block))[:, None] * m + proj) * n_secrets + sid
-            present, held, uneven = _groups(key.ravel(), n_secrets, len(block) * m * n_secrets)
+            proj = _projections(columns, block, v, m)
+            group = np.arange(len(block))[:, None] * m + proj
+            present, held, uneven = _groups(group, sid, len(block) * m, n_secrets)
             groups += len(present)
             for i in np.flatnonzero(uneven if check_perfect else held < n_secrets).tolist():
                 b, g = divmod(int(present[i]), m)
@@ -475,9 +478,9 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
                  for p1 in itertools.combinations([p for p in range(n) if p not in p0], t - s))
         for block in _blocks(pairs, rows + m0 * max(n_secrets, m1)):
             p0s, p1s = zip(*block)
-            group = np.arange(len(block))[:, None] * m0 + _projections(columns, p0s, v)
-            proj1 = _projections(columns, p1s, v)
-            present, images, _ = _groups((group * m1 + proj1).ravel(), m1, len(block) * m0 * m1)
+            group = np.arange(len(block))[:, None] * m0 + _projections(columns, p0s, v, m0)
+            proj1 = _projections(columns, p1s, v, m1)
+            present, images, _ = _groups(group, proj1, len(block) * m0, m1)
             key = group * n_secrets + sid
             if len(block) * m0 * n_secrets > designs._DENSE_CELLS:
                 key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
@@ -490,11 +493,13 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
                 b = int(present[i]) // m0
                 at = np.flatnonzero(group[b] == present[i])
                 other = tuple(p + 1 for p in p1s[b])
-                owner, ways, _ = _groups(sid[at] * m1 + proj1[b, at], m1, n_secrets * m1)
-                torn = np.flatnonzero(ways > 1)  # the secrets with two projections here
-                detail = (f"secret {sch.secrets[owner[torn[0]]]} projects onto {other} in "
-                          f"{ways[torn[0]]} different ways" if torn.size else
-                          f"secret-to-projection map onto {other} is not one-to-one")
+                detail = f"secret-to-projection map onto {other} is not one-to-one"
+                if split[present[i]]:  # name the least secret with two projections here
+                    taken = np.unique(sid[at] * m1 + proj1[b, at])  # (secret, projection)
+                    secret, ways = np.unique(taken // m1, return_counts=True)
+                    j = int(np.argmax(ways > 1))
+                    detail = (f"secret {sch.secrets[secret[j]]} projects onto {other} "
+                              f"in {ways[j]} different ways")
                 failures.append(AuditFailure("bijection", tuple(p + 1 for p in p0s[b]),
                                              tuple(grid[at[0], list(p0s[b])].tolist()), detail))
 

@@ -112,16 +112,31 @@ def test_failure_records_grow_with_the_failures_not_with_the_secrets():
     assert first.detail == "secret (1,) has no consistent rule"
 
 
-def test_a_large_audit_stays_within_a_fixed_memory_bound():
-    # 14,641 rules, 37 subsets of size <= 2 and 420 pairs: the audit's
-    # blocks hold a few MiB however many subsets there are
-    sch = scheme_shamir(field_for_order(11), 2, 4, 8)
+def _sparse_scheme():
+    """64 rules over an alphabet of 64, one to each secret: projections
+    onto three players could take 64^3 values, but only 64 occur."""
+    coefficients = (1, 3, 5, 7, 11, 13)
+    return RampScheme(3, 4, 6, 64, [(tuple(c * i % 64 for c in coefficients), (i,))
+                                    for i in range(64)])
+
+
+@pytest.mark.parametrize("build, ok, subsets, groups, failures", [
+    # 14,641 rules, 37 subsets of size <= 2 and 420 pairs
+    pytest.param(lambda: scheme_shamir(field_for_order(11), 2, 4, 8), True, 457, 54297, 0,
+                 id="shamir-gf11"),
+    # tables sized by the 64^3 possible projections, not the 64 rows, would
+    # take 2^24 cells for one subset
+    pytest.param(_sparse_scheme, False, 102, 6465, 6464, id="sparse-v64"),
+])
+def test_a_large_audit_stays_within_a_fixed_memory_bound(build, ok, subsets, groups, failures):
+    # the audit's blocks hold a few MiB however many subsets there are
+    sch = build()
     tracemalloc.start()
     try:
         report = audit_security(sch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.ok and not report.failures
-    assert (report.subsets_checked, report.groups_checked) == (457, 54297)
+    assert report.ok is ok and len(report.failures) == failures
+    assert (report.subsets_checked, report.groups_checked) == (subsets, groups)
     assert peak < 32 * 2**20

@@ -8,9 +8,8 @@ are refused before the certificate and the scan.  One-cell corruptions,
 per-column symbol relabellings (distances kept, linearity lost), proper row
 subsets, duplicated rows, one row, alphabets that are not prime powers
 (6, 10, 12) and a prime alphabet above the field order cap go to the scan,
-which must agree with the oracle too, marking in either of its two ways,
-and which is refused before any subset is marked when its C(k, t) subsets
-pass ``caps.SUBSETS``.
+which must agree with the oracle too, and which is refused before any
+subset is marked when its C(k, t) subsets pass ``caps.SUBSETS``.
 """
 
 import io
@@ -228,19 +227,6 @@ def test_proper_row_subsets_match_the_oracle(a, data):
     n = data.draw(st.integers(1, min(len(a.grid), a.expected_rows) - 1))
     order = data.draw(st.permutations(range(len(a.grid))))
     check(same_params(a, a.grid[sorted(order[:n])]))
-
-
-@pytest.mark.parametrize("few", [0, 2**62])
-@SETTINGS
-@given(linear_arrays(), st.data())
-def test_either_way_of_marking_matches_the_oracle(few, a, data):
-    """Few rows: ``_FEW_ROWS`` = 0 sends every array to the slot table,
-    2^62 every array to the cleared buffer.  Some row subsets repeat a row."""
-    n = data.draw(st.integers(2, min(len(a.grid), a.expected_rows, 24)))
-    picks = data.draw(st.lists(st.integers(0, len(a.grid) - 1), min_size=n, max_size=n))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(designs, "_FEW_ROWS", few)
-        check(same_params(a, a.grid[sorted(picks)]))
 
 
 @pytest.mark.parametrize("rows", [
