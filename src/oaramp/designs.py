@@ -485,8 +485,6 @@ class ColumnDependency:
     order: int
 
     def describe(self) -> str:
-        if not self.combination:
-            return f"column {self.target + 1} = 0 over GF({self.order})"
         terms = " + ".join(
             f"column {c + 1}" if coef == 1 else f"{coef}*column {c + 1}"
             for c, coef in self.combination)

@@ -149,10 +149,8 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, j: int) -> tuple[int, ...]:
-    for cand in _monic_polys(j, p):
-        if is_irreducible(cand, p):
-            return cand
-    raise AssertionError(f"no irreducible polynomial of degree {j} over GF({p})")
+    """A monic irreducible of every degree exists over GF(p), so the search ends."""
+    return next(cand for cand in _monic_polys(j, p) if is_irreducible(cand, p))
 
 
 def _poly_str(poly: tuple[int, ...]) -> str:

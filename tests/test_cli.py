@@ -166,6 +166,57 @@ def test_parameter_errors_exit_2():
     assert run(["bounds", "bush", "--t", "1", "--v", "3"])[0] == 2
 
 
+def test_input_errors_exit_2_with_their_message(capsys):
+    _, aoa_text = run(["demo", "example-4-3"])
+    for argv, text, message in [
+        (["ramp", "deal", "--secret", "1,x"], aoa_text,
+         "malformed secret '1,x', expected comma-separated integers"),
+        (["verify"], "", "expected an array on standard input"),
+        (["split"], " \n\n", "expected an array on standard input"),
+        (["construct", "aoa-merge", "--s", "1"], aoa_text,
+         "aoa-merge expects an OA on standard input"),
+        (["verify"], "AOA 1 3 3\n0 0 0 0,0\n", "malformed AOA header: 'AOA 1 3 3'"),
+    ]:
+        assert run(argv, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_entry_point_exits_with_the_status_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oaramp", "bounds", "bush", "--t", "2", "--v", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry_point()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "max_k 4\ncase: t=2 (proven)\n"
+
+
+def test_split_failure_with_no_linear_relation_prints_no_dependency():
+    """Swapping symbols 2 and 3 of plain column 2 keeps the dual AOA an AOA,
+    but no linear relation over GF(4) explains its split's failing subset."""
+    _, text = run(["construct", "aoa-dual", "--q", "4", "--s", "1", "--t", "4"])
+    head, *rows = text.splitlines()
+    swapped = []
+    for row in rows:
+        symbols = row.split(" ")
+        symbols[1] = {"2": "3", "3": "2"}.get(symbols[1], symbols[1])
+        swapped.append(" ".join(symbols))
+    text = "\n".join([head, *swapped]) + "\n"
+    assert run(["verify"], text) == (0, "AOA(1,4,4,4): VALID (256 rows, exhaustive)\n")
+    assert run(["split"], text) == (1, (
+        "SPLIT INVALID: expanding AOA(1,4,4,4) is not an OA(4,7,4)\n"
+        "witness: columns 2,3,4,6 contain tuple (0, 0, 0, 0) 4 times (expected once)\n"))
+
+
+def test_split_failure_over_a_non_prime_power_alphabet_prints_no_dependency():
+    """Rows (a, b | b, a) over 6 symbols: an AOA(0,2,2,6), whose split repeats
+    (a, a) on columns 1 and 4, with no field to state a relation over."""
+    rows = [f"{a} {b} {b},{a}" for a in range(6) for b in range(6)]
+    text = "\n".join(["AOA 0 2 2 6", *rows]) + "\n"
+    assert run(["verify"], text) == (0, "AOA(0,2,2,6): VALID (36 rows, exhaustive)\n")
+    assert run(["split"], text) == (1, (
+        "SPLIT INVALID: expanding AOA(0,2,2,6) is not an OA(2,4,6)\n"
+        "witness: columns 1,4 contain tuple (0, 0) 6 times (expected once)\n"))
+
+
 def test_usage_errors_exit_2():
     assert run(["frobnicate"])[0] == 2
     assert run(["construct", "no-such-verb"])[0] == 2

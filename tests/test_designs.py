@@ -494,6 +494,22 @@ def test_dual_aoa_rejects_non_oa_basis():
     assert str(exc.value) == "columns (3, 4) of the basis are linearly dependent (dual-basis)"
 
 
+def test_constructions_refuse_bad_arguments_with_their_message():
+    f = GF(3)
+    for build, message in [
+        (lambda: oa_from_generator(Matrix(f, [[1], [0]]), 2),
+         "generator needs at least t=2 columns, has 1"),
+        (lambda: linear_aoa(Matrix.identity(f, 2), 2, 2, 3), "need 0 <= s < t <= k, got s=2, t=2, k=3"),
+        (lambda: linear_aoa(Matrix.identity(f, 2), 1, 2, 2),
+         "matrix must be 2x3 for AOA(1,2,2,3), is 2x2"),
+        (lambda: dual_aoa(Matrix.identity(f, 2), 2, 2), "need 0 <= s < t, got s=2, t=2"),
+        (lambda: dual_aoa(Matrix(f, [[1, 1, 1]]), 2, 4), "basis must be 2x4, is 1x3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 @st.composite
 def dual_bases(draw):
     """A (t-s) x t basis over GF(q), q <= 9 and t <= 5, with s and t, its
@@ -632,3 +648,29 @@ def test_text_format_rejects_malformed_input():
         load_array("AOA 1 2 2 3\n0 0\n")  # missing augmented field
     with pytest.raises(ValueError):
         load_array("AOA 1 3 3 3\n0 0 0 0\n")  # augmented field not a 2-tuple
+
+
+def test_arrays_compare_unequal_to_other_types():
+    oa = OrthogonalArray(2, 3, 2, OA_232_ROWS)
+    assert oa.__eq__(OA_232_ROWS) is NotImplemented
+    assert oa != OA_232_ROWS and oa != AugmentedOA(1, 2, 2, 2, OA_232_ROWS)
+
+
+def test_results_are_true_exactly_when_ok():
+    assert bool(verify_oa(OrthogonalArray(2, 3, 2, OA_232_ROWS))) is True
+    assert bool(verify_oa(OrthogonalArray(2, 3, 2, BAD_232_ROWS))) is False
+    assert bool(aoa_split(aoa_merge(parity_oa_342(), 2))) is True
+    assert bool(aoa_split(demo_aoa_1333())) is False
+
+
+def test_nonexistence_report_of_a_failed_verification_says_so():
+    failed = designs.VerifyResult(False, designs.Witness("row_count", count=26, expected=27))
+    report = designs.NonexistenceReport(demo_aoa_1333(), failed, attempted_columns=5,
+                                        bound=designs.bush_bound(3, 3))
+    assert not report.holds
+    assert report.lines() == [
+        "AOA(1,3,3,3): INVALID (27 rows, exhaustive)",
+        "attempted OA columns k+t-s = 5",
+        "bush_bound(t=3, v=3) = 4 (v odd, 3<=t<=v, proven)",
+        "conclusion: demonstration FAILED",
+    ]

@@ -200,3 +200,17 @@ def test_field_identity_semantics():
     assert GF(3, 2) == GF(3, 2)
     assert GF(3) != GF(3, 2)
     assert hash(GF(2, 3)) == hash(GF(2, 3))
+
+
+def test_a_constant_is_not_irreducible():
+    assert not is_irreducible((1,), 2)
+    assert not is_irreducible((2,), 3)
+
+
+def test_fields_compare_unequal_to_other_types_and_print_their_modulus():
+    assert GF(3).__eq__(3) is NotImplemented and GF(3) != 3
+    assert repr(GF(7)) == "GF(7)"
+    assert repr(GF(3, 2)) == "GF(9)=GF(3^2, x^2+1)"
+    assert repr(GF(2, 4)) == "GF(16)=GF(2^4, x^4+x^3+1)"
+    assert repr(GF(5, 2)) == "GF(25)=GF(5^2, x^2+x+1)"
+    assert repr(GF(3, 3)) == "GF(27)=GF(3^3, x^3+2x^2+1)"

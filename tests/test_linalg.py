@@ -170,3 +170,9 @@ def test_matrix_holds_one_read_only_int64_grid():
     for derived in (m.transpose(), m.columns([1]), m.hstack(m), Matrix.identity(GF(3), 2)):
         assert derived.entries.dtype == np.int64 and not derived.entries.flags.writeable
         assert type(derived.rows) is int and type(derived.cols) is int
+
+
+def test_matrix_compares_unequal_to_other_types_and_prints_its_rows():
+    m = Matrix(GF(3), [[1, 0, 2], [0, 1, 1]])
+    assert m.__eq__(m.entries) is NotImplemented and m != [[1, 0, 2], [0, 1, 1]]
+    assert repr(m) == "Matrix(GF(3), [1 0 2; 0 1 1])"

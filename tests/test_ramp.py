@@ -127,6 +127,26 @@ def test_scheme_invariants_enforced():
         RampScheme(1, 2, 2, 2, [((0, 0), (0, 1))])  # secret is not a 1-tuple
 
 
+def test_scheme_constructor_errors_say_what_is_wrong():
+    for args, message in [
+        ((1, 2, 2, 1, [((0, 0), (0,))]), "share alphabet must have >= 2 symbols, got 1"),
+        ((1, 2, 2, 2, [((0, 0, 0), (0,))]),
+         "rule ((0, 0, 0), (0,)) does not assign shares to all 2 players"),
+        ((1, 2, 2, 2, []), "a scheme needs at least one rule"),
+    ]:
+        with pytest.raises(SchemeError) as exc:
+            RampScheme(*args)
+        assert str(exc.value) == message
+
+
+def test_schemes_and_bundles_compare_unequal_to_other_types():
+    sch = scheme_shamir(GF(5), 1, 2, 3)
+    assert sch.__eq__(sch.aoa) is NotImplemented and sch != sch.aoa
+    bundle = ShareBundle({1: 0})
+    assert bundle.__eq__({1: 0}) is NotImplemented and bundle != {1: 0}
+    assert repr(sch) == "RampScheme(s=1, t=2, n=3, v=5, 25 rules, 5 secrets)"
+
+
 def test_scheme_rules_canonical_order():
     rules = [((1, 1), (1,)), ((0, 0), (0,)), ((0, 1), (1,)), ((1, 0), (0,))]
     sch = RampScheme(1, 2, 2, 2, rules)
@@ -394,6 +414,19 @@ def test_audit_catches_corruption_with_located_failure():
     assert first.players == (2,)
     assert first.projection == (0,)
     assert first.detail == "secret (0, 0) has no consistent rule"
+
+
+def test_audit_failures_describe_the_players_shares_and_check():
+    # the secret is player 1's share: player 1 alone sees it
+    leaky = RampScheme(1, 2, 2, 2, [((a, b), (a,)) for a in (0, 1) for b in (0, 1)])
+    report = audit_security(leaky)
+    assert bool(report) is False and bool(audit_security(example_1333_scheme())) is True
+    assert [f.describe() for f in report.failures] == [
+        "[weak] players {1} shares (0,): secret (1,) has no consistent rule",
+        "[weak] players {1} shares (1,): secret (0,) has no consistent rule",
+        "[bijection] players {1} shares (0,): secret (0,) projects onto (2,) in 2 different ways",
+        "[bijection] players {1} shares (1,): secret (1,) projects onto (2,) in 2 different ways",
+    ]
 
 
 def test_audit_uniformity_of_counts_at_exact_s():
