@@ -294,7 +294,3 @@ def main(argv: list[str] | None = None,
 
 def entry_point() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry_point()

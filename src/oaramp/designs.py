@@ -137,17 +137,9 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
         raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
     order = np.arange(len(grid))
     if len(grid) > 1:
-        c = 1
-        while v ** (c + 1) <= 2**63:
-            c += 1
-        keys = []
-        for start in reversed(range(0, width, c)):  # lexsort's last key is its first
-            key = grid[:, start].copy()
-            for column in grid.T[start + 1:start + c]:
-                key *= v
-                key += column
-            keys.append(key)
-        order = np.lexsort(keys)
+        c = next(c for c in itertools.count(1) if v ** (c + 1) > 2**63)
+        order = np.lexsort([_key(grid.T, range(start, min(start + c, width)), v)
+                            for start in reversed(range(0, width, c))])  # last key first
     grid = grid[order]
     grid.setflags(write=False)
     return grid, order
@@ -194,23 +186,56 @@ def _tally(keys: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(keys, minlength=size)
 
 
-# The largest table, in cells, that ``_ranks`` and the audit's counting
+# The largest table, in cells, that ``_ids`` keys and the audit's counting
 # helpers index densely; above it they fall back to np.unique.
 _DENSE_CELLS = 2**24
 
 
+def _key(columns: np.ndarray, cols, v: int) -> np.ndarray:
+    """The base-v keys, first column most significant, of the rows' projections
+    onto one subset ``cols`` or onto each row of a 2-d ``cols``, in the dtype
+    of ``columns`` (one grid column per row).  No multiply precedes the first
+    column, so one column keys over any v; the caller keeps v^width in range."""
+    cols = np.asarray(cols, dtype=np.intp)
+    key = np.zeros(cols.shape[:-1] + columns.shape[1:], dtype=columns.dtype)
+    # one subset's columns by Python ints (views), a block's by index arrays
+    for j, c in enumerate(cols.tolist() if cols.ndim == 1 else cols.T):
+        if j:
+            key *= v
+        key += columns[c]
+    return key
+
+
+def _id_bound(v: int, width: int, rows: int) -> int:
+    """``_ids``' bound on ids of projections onto ``width`` columns: the keys'
+    v^width when that is at most the rows and ``_DENSE_CELLS``, else the rows."""
+    return v**width if v**width <= min(rows, _DENSE_CELLS) else rows
+
+
+def _ids(columns: np.ndarray, subsets: Sequence[Sequence[int]], v: int) -> np.ndarray:
+    """A (subsets, rows) array of each row's projection onto each subset (of one
+    width) as an id below ``_id_bound`` that ascends with the projection: its
+    base-v key, or its rank among the subset's, from one ``np.unique``."""
+    cols = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
+    rows = columns.shape[1]
+    if v ** cols.shape[1] <= min(rows, _DENSE_CELLS):  # _id_bound's keyed case
+        return _key(columns, cols, v)
+    tuples = np.dstack([np.repeat(np.arange(len(cols))[:, None], rows, 1),
+                        *(columns[c] for c in cols.T)])
+    distinct, rank = np.unique(tuples.reshape(-1, tuples.shape[2]), axis=0, return_inverse=True)
+    start = np.searchsorted(distinct[:, 0], np.arange(len(cols)))  # each subset's first rank
+    return rank.reshape(len(cols), rows) - start[:, None]
+
+
 def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, np.ndarray]:
-    """What ``np.unique(grid[:, cols], axis=0, return_inverse=True)`` returns,
-    read off a first-occurrence table over the v^len(cols) base-v keys of the
-    projections and that table's running count."""
+    """What ``np.unique(grid[:, cols], axis=0, return_inverse=True)`` returns, read
+    off a table of one row per ``_ids`` id and that table's running count."""
     cols = list(cols)
-    if v ** len(cols) > _DENSE_CELLS:
-        return np.unique(grid[:, cols], axis=0, return_inverse=True)
-    place = np.array([v**e for e in range(len(cols), -1, -1)], dtype=np.int64)
-    key = grid[:, cols] @ place[1:]
-    seen = np.zeros(place[0], dtype=bool)
-    seen[key] = True
-    return np.flatnonzero(seen)[:, None] % place[:-1] // place[1:], (np.cumsum(seen) - 1)[key]
+    ids = _ids(grid.T, [cols], v)[0]
+    row = np.full(_id_bound(v, len(cols), len(grid)), -1)
+    row[ids] = np.arange(len(grid))
+    held = row >= 0
+    return grid[row[held]][:, cols], (np.cumsum(held) - 1)[ids]
 
 
 def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int]:
@@ -220,11 +245,9 @@ def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int,
     ``_coverage_scan`` calls it, on v^len(cols) rows, which bound the keys,
     and on a subset where ``_first_repeat`` has found a repeated tuple.
     """
-    dims = (v,) * len(cols)
-    counts = _tally(np.ravel_multi_index(grid[:, list(cols)].T, dims), v ** len(cols))
-    bad = np.flatnonzero(counts != 1)
-    digits = np.unravel_index(bad[0], dims)
-    return tuple(int(d) for d in digits), int(counts[bad[0]])
+    counts = _tally(_key(grid.T, cols, v), v ** len(cols))
+    bad = int(np.argmax(counts != 1))
+    return tuple(map(int, np.unravel_index(bad, (v,) * len(cols)))), int(counts[bad])
 
 
 def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
@@ -245,21 +268,20 @@ def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
     order given, whose columns cols + tail hold a tuple in two rows of ``a``;
     or None.  ``a`` has at most v^t rows: a projection's base-v keys lie below
     v^t and are marked in one reused buffer of v^t cells, and a tuple repeats
-    exactly when fewer keys are marked than there are rows.  A subset's last
-    column has place value 1; the rest of its key is summed once per run of
-    subsets sharing leading columns.
+    exactly when fewer keys are marked than there are rows.  A subset's key
+    is its last column after the key of its leading columns and the tail,
+    which is built once per run of subsets sharing leading columns.
     """
     size = a.expected_rows
-    columns = a.grid.T.astype(np.int32 if size <= 2**31 else np.int64, order="C")
+    columns = a.grid.T.astype(np.int32 if size < 2**31 else np.int64, order="C")
     key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
     hit = np.empty(size, dtype=bool)
-    places = [a.v**e for e in range(a.t - 1, -1, -1)]
     for subsets, tail, kind in checks:
         lead = None
         for cols in subsets:
             if cols[:-1] != lead:
                 lead = cols[:-1]
-                partial = sum(columns[c] * p for c, p in zip(lead + tail, places))
+                partial = _key(columns, lead + tail, a.v) * (a.v if cols else 1)
             np.add(partial, columns[cols[-1]] if cols else 0, out=key)
             hit.fill(False)
             hit[key] = True
@@ -321,11 +343,8 @@ def _least_code_weight(a: OrthogonalArray) -> int | None:
     duplicates, row 1 is zero too and the least weight, 0, is their distance.
     """
     n, v = len(a.grid), a.v
-    r, size = 0, 1
-    while size < n:
-        size *= v
-        r += 1
-    if size != n or v > ORDER_CAP or factor_prime_power(v) is None:
+    r = next(r for r in itertools.count() if v**r >= n)
+    if v**r != n or v > ORDER_CAP or factor_prime_power(v) is None:
         return None
     basis = Matrix(field_for_order(v), a.grid[[v**e for e in range(r - 1, -1, -1)]])
     if not np.array_equal(row_space(basis, a.grid.size), a.grid):

@@ -27,6 +27,8 @@ from . import caps, designs
 from .designs import (
     AugmentedOA,
     _canonical_grid,
+    _id_bound,
+    _ids,
     _ranks,
     _tally,
     linear_aoa,
@@ -393,24 +395,6 @@ def _blocks(items: Iterable, cells: int) -> Iterator[list]:
         yield block
 
 
-def _projections(columns: np.ndarray, block: list, v: int, m: int) -> np.ndarray:
-    """A (subsets, rows) array: each row's projection onto each column subset
-    in ``block`` as an id below ``m`` that ascends with the projection, its
-    base-v key if those lie below m, else its rank among the subset's
-    projections."""
-    cols = np.array(block, dtype=np.intp).reshape(len(block), -1)
-    if v ** cols.shape[1] <= m:
-        key = np.zeros((len(block), columns.shape[1]), dtype=np.int64)
-        for c in cols.T:
-            key *= v
-            key += columns[c]
-        return key
-    tuples = np.dstack(np.broadcast_arrays(np.arange(len(block))[:, None], *columns[cols.T]))
-    rank = np.unique(tuples.reshape(-1, tuples.shape[2]), axis=0, return_inverse=True)[1]
-    rank = rank.reshape(len(block), -1)
-    return rank - rank.min(axis=1, keepdims=True)
-
-
 def _groups(group: np.ndarray, value: np.ndarray, groups: int, m: int) -> tuple[np.ndarray, ...]:
     """For rows in ``group`` holding ``value`` in [0, m): the groups that hold
     a row, ascending; how many of the m values each holds; and whether those
@@ -436,28 +420,27 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
     every secret among them (a failure names the first secret missing);
     perfect security (checked only for ideal uniform-weight schemes, i.e.
     under the uniform secret prior) needs every secret to have equally many
-    of them.  For ideal schemes it also checks, for each size-s subset, each
-    projection, and each disjoint (t-s)-subset, that secrets map one-to-one
-    onto the projections of the consistent rules there (#secrets of them,
-    none reached from two) -- the fact that makes reconstruction well
-    defined.  Subsets of one size, and pairs, are counted in blocks of
-    ``_BLOCK_CELLS``; only failing groups are read one at a time.
+    of them, so a weak failure fails it too.  For ideal schemes it also
+    checks, for each size-s subset, each projection, and each disjoint
+    (t-s)-subset, that secrets map one-to-one onto the projections of the
+    consistent rules there (#secrets of them, none reached from two) -- the
+    fact that makes reconstruction well defined.  Subsets of one size, and
+    pairs, are counted in blocks of ``_BLOCK_CELLS``; only failing groups are
+    read one at a time.
     """
     n, s, t, v = sch.n, sch.s, sch.t, sch.v
     subsets = caps.check_audit(len(sch.weights), n, s, t, sch.is_ideal, max_work)
 
     grid, sid, n_secrets = sch.aoa.grid, sch._sid, len(sch.secrets)
     rows, columns = len(grid), np.ascontiguousarray(grid[:, :n].T)
-    # projection ids lie below this: base-v keys where no more than the rows
-    bound = lambda width: v**width if v**width <= min(rows, designs._DENSE_CELLS) else rows
     check_perfect = sch.is_ideal and sch.has_uniform_weights
     failures: list[AuditFailure] = []
     groups = 0
 
     for size in range(s + 1):
-        m = bound(size)
+        m = _id_bound(v, size, rows)
         for block in _blocks(itertools.combinations(range(n), size), rows + m * n_secrets):
-            proj = _projections(columns, block, v, m)
+            proj = _ids(columns, block, v)
             group = np.arange(len(block))[:, None] * m + proj
             present, held, uneven = _groups(group, sid, len(block) * m, n_secrets)
             groups += len(present)
@@ -473,13 +456,13 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
                                              tuple(grid[at[0], list(block[b])].tolist()), detail))
 
     if sch.is_ideal:
-        m0, m1 = bound(s), bound(t - s)
+        m0, m1 = _id_bound(v, s, rows), _id_bound(v, t - s, rows)
         pairs = ((p0, p1) for p0 in itertools.combinations(range(n), s)
                  for p1 in itertools.combinations([p for p in range(n) if p not in p0], t - s))
         for block in _blocks(pairs, rows + m0 * max(n_secrets, m1)):
             p0s, p1s = zip(*block)
-            group = np.arange(len(block))[:, None] * m0 + _projections(columns, p0s, v, m0)
-            proj1 = _projections(columns, p1s, v, m1)
+            group = np.arange(len(block))[:, None] * m0 + _ids(columns, p0s, v)
+            proj1 = _ids(columns, p1s, v)
             present, images, _ = _groups(group, proj1, len(block) * m0, m1)
             key = group * n_secrets + sid
             if len(block) * m0 * n_secrets > designs._DENSE_CELLS:
@@ -505,6 +488,6 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
 
     failed = {f.check for f in failures}
     return AuditReport(not failures, "weak" not in failed,
-                       "perfect" not in failed if check_perfect else None,
+                       failed.isdisjoint({"weak", "perfect"}) if check_perfect else None,
                        "bijection" not in failed if sch.is_ideal else None,
                        subsets_checked=subsets, groups_checked=groups, failures=tuple(failures))

@@ -405,6 +405,8 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
                 missing = [k for k, w in counts if w == 0]
                 if missing:
                     weak_ok = False
+                    if check_perfect:  # perfect security implies weak
+                        perfect_ok = False
                     failures.append(AuditFailure(
                         "weak", players, proj,
                         f"secret {missing[0]} has no consistent rule"))

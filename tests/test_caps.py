@@ -15,7 +15,7 @@ import pytest
 from oaramp import caps
 from oaramp.errors import CapExceeded
 from oaramp.gf import field_for_order
-from oaramp.ramp import RampScheme, audit_security, scheme_shamir
+from oaramp.ramp import RampScheme, ShareBundle, audit_security, reconstruct, scheme_shamir
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oaramp"
 
@@ -106,7 +106,7 @@ def test_failure_records_grow_with_the_failures_not_with_the_secrets():
     with _alarm(5.0):
         report = audit_security(sch)
     assert len(report.failures) == 32000
-    assert not report.weak_ok and report.perfect_ok and not report.bijection_ok
+    assert not report.weak_ok and report.perfect_ok is False and not report.bijection_ok
     first = report.failures[0]
     assert (first.check, first.players, first.projection) == ("weak", (1,), (0,))
     assert first.detail == "secret (1,) has no consistent rule"
@@ -140,3 +140,19 @@ def test_a_large_audit_stays_within_a_fixed_memory_bound(build, ok, subsets, gro
     assert report.ok is ok and len(report.failures) == failures
     assert (report.subsets_checked, report.groups_checked) == (subsets, groups)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("s, v", [(0, 4096), (1, 2**24)])
+def test_a_two_rule_scheme_builds_and_reconstructs_in_a_fixed_memory_bound(s, v):
+    # its secrets, and each player's shares, are ranked in tables of its two
+    # rows, not keyed into v^(t-s) or v cells (2^24 either way)
+    rules = [((0, 1), (0,) * (2 - s)), ((v - 1, 0), (v - 1,) * (2 - s))]
+    tracemalloc.start()
+    try:
+        sch = RampScheme(s, 2, 2, v, rules)
+        result = reconstruct(sch, ShareBundle({1: v - 1, 2: 0}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.secret == (v - 1,) * (2 - s) and len(sch.secrets) == 2
+    assert peak < 4 * 2**20

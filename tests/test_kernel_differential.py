@@ -35,6 +35,8 @@ from oaramp.designs import (
     ColumnDependency,
     OrthogonalArray,
     SplitResult,
+    _id_bound,
+    _ids,
     _ranks,
     aoa_merge,
     aoa_split,
@@ -455,6 +457,8 @@ def test_audit_with_pairs_split_across_blocks_matches_oracle(sch):
 @SETTINGS
 @given(st.data(), st.sampled_from([1, 2**24]))
 def test_ranks_match_np_unique(data, limit):
+    """``_ranks``, and ``_ids`` over a block of subsets, against np.unique:
+    a limit of one cell ranks every projection but those onto no columns."""
     v = data.draw(st.integers(2, 6))
     width = data.draw(st.integers(0, 5))
     rows = data.draw(st.integers(0, 40))
@@ -462,13 +466,24 @@ def test_ranks_match_np_unique(data, limit):
                                                 max_size=width), min_size=rows, max_size=rows)),
                     dtype=np.int64).reshape(rows, width)
     cols = data.draw(st.lists(st.integers(0, width - 1), unique=True)) if width else []
+    # a block of subsets of one size, for ``_ids``
+    size = data.draw(st.integers(0, width))
+    block = data.draw(st.lists(st.permutations(range(width)).map(lambda p: p[:size]),
+                               min_size=1, max_size=4))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oaramp.designs, "_DENSE_CELLS", limit)
         projs, rank = _ranks(grid, cols, v)
+        ids = _ids(np.ascontiguousarray(grid.T), block, v)
+        bound = _id_bound(v, size, rows)
     want_projs, want_rank = np.unique(grid[:, cols], axis=0, return_inverse=True)
     for got, want in ((projs, want_projs), (rank, want_rank)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+    assert ids.shape == (len(block), rows)
+    for subset, got in zip(block, ids):
+        assert ((0 <= got) & (got < bound)).all()
+        want = np.unique(grid[:, list(subset)], axis=0, return_inverse=True)[1]
+        assert np.array_equal(np.unique(got, return_inverse=True)[1], want)
 
 
 def test_ranks_of_no_columns_over_an_alphabet_past_int64():

@@ -429,6 +429,14 @@ def test_audit_failures_describe_the_players_shares_and_check():
     ]
 
 
+def test_a_scheme_that_fails_the_weak_check_fails_the_perfect_one():
+    # perfect security implies weak: a view that misses a secret is uneven too
+    leaky = RampScheme(1, 2, 2, 2, [((a, b), (a,)) for a in (0, 1) for b in (0, 1)])
+    report = audit_security(leaky)
+    assert (report.weak_ok, report.perfect_ok, report.bijection_ok) == (False, False, False)
+    assert {f.check for f in report.failures} == {"weak", "bijection"}
+
+
 def test_audit_uniformity_of_counts_at_exact_s():
     sch = scheme_shamir(GF(5), 2, 3, 4)
     for players in itertools.combinations(range(4), sch.s):
