@@ -7,8 +7,6 @@ bound arithmetic.
 """
 
 from .designs import (
-    THM48,
-    THM410,
     AugmentedOA,
     BoundVerdict,
     ColumnDependency,
@@ -26,10 +24,11 @@ from .designs import (
     linear_aoa,
     load_array,
     mds_max,
-    nonexistence_witness,
     oa_from_generator,
     rs_generator,
     shamir_matrix,
+    thm48_witness,
+    thm410_witness,
     verify_aoa,
     verify_mds,
     verify_oa,
@@ -60,7 +59,7 @@ __all__ = [
     "rs_generator", "oa_from_generator", "linear_aoa", "shamir_matrix",
     "dual_aoa", "aoa_merge", "aoa_split", "SplitResult", "ColumnDependency",
     "bush_bound", "mds_max", "BoundVerdict",
-    "nonexistence_witness", "NonexistenceReport", "THM48", "THM410", "demo_aoa_1333",
+    "thm48_witness", "thm410_witness", "NonexistenceReport", "demo_aoa_1333",
     "dump_array", "load_array",
     "RampScheme", "ShareBundle", "scheme_from_aoa", "aoa_from_scheme",
     "scheme_shamir", "deal", "reconstruct", "ReconstructionResult",

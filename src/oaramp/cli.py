@@ -254,11 +254,9 @@ def _cmd_demo(args, out: TextIO) -> int:
         out.write(designs.dump_array(designs.demo_aoa_1333(cap)))
         return 0
     if args.verb == "thm48":
-        report = designs.nonexistence_witness(designs.THM48, args.q, t=args.t,
-                                              max_cells=cap)
+        report = designs.thm48_witness(args.q, args.t, cap)
     else:
-        report = designs.nonexistence_witness(designs.THM410, args.q, s=args.s,
-                                              max_cells=cap)
+        report = designs.thm410_witness(args.q, args.s, cap)
     for line in report.lines():
         out.write(line + "\n")
     return 0 if report.holds else 1

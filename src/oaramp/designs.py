@@ -238,39 +238,27 @@ def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, n
     return grid[row[held]][:, cols], (np.cumsum(held) - 1)[ids]
 
 
-def _coverage(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[tuple[int, ...], int]:
-    """The first tuple over ``cols`` not in exactly one row of ``grid``, with its
-    row count.  The smallest base-v key is the lexicographically smallest
-    tuple, so this is the first offender in canonical scan order.  Only
-    ``_coverage_scan`` calls it, on v^len(cols) rows, which bound the keys,
-    and on a subset where ``_first_repeat`` has found a repeated tuple.
-    """
-    counts = _tally(_key(grid.T, cols, v), v ** len(cols))
-    bad = int(np.argmax(counts != 1))
-    return tuple(map(int, np.unravel_index(bad, (v,) * len(cols)))), int(counts[bad])
-
-
 def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
-    """The row count, then the first subset ``_first_repeat`` finds among
-    ``checks``, counted by ``_coverage`` for the witness."""
+    """The row count, then the first failing subset ``_first_repeat`` finds
+    among ``checks``."""
     if len(a.grid) != a.expected_rows:
         return VerifyResult(False, Witness(
             "row_count", count=len(a.grid), expected=a.expected_rows))
-    found = _first_repeat(a, checks)
-    if found is None:
-        return VerifyResult(True)
-    cols, tail, kind = found
-    return VerifyResult(False, Witness(kind, cols, *_coverage(a.grid, cols + tail, a.v)))
+    witness = _first_repeat(a, checks)
+    return VerifyResult(witness is None, witness)
 
 
-def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
-    """The first (cols, tail, kind) of ``checks``, each one's subsets in the
-    order given, whose columns cols + tail hold a tuple in two rows of ``a``;
-    or None.  ``a`` has at most v^t rows: a projection's base-v keys lie below
-    v^t and are marked in one reused buffer of v^t cells, and a tuple repeats
-    exactly when fewer keys are marked than there are rows.  A subset's key
-    is its last column after the key of its leading columns and the tail,
-    which is built once per run of subsets sharing leading columns.
+def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> Witness | None:
+    """The witness of the first (cols, tail, kind) of ``checks``, each one's
+    subsets in the order given, whose columns cols + tail hold a tuple in two
+    rows of ``a``; or None.  ``a`` has at most v^t rows: a projection's base-v
+    keys lie below v^t and are marked in one reused buffer of v^t cells, and a
+    tuple repeats exactly when fewer keys are marked than there are rows.  A
+    subset's key is its last column after the key of its leading columns and
+    the tail, which is built once per run of subsets sharing leading columns.
+    Only a failing subset's keys are counted, with their last digit moved back
+    before the tail's: the first count other than one is then the smallest
+    offending tuple over cols + tail, the first offender in canonical scan order.
     """
     size = a.expected_rows
     columns = a.grid.T.astype(np.int32 if size < 2**31 else np.int64, order="C")
@@ -286,7 +274,9 @@ def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> tuple | None:
             hit.fill(False)
             hit[key] = True
             if np.count_nonzero(hit) < len(key):
-                return cols, tail, kind
+                counts = np.moveaxis(_tally(key, size).reshape((a.v,) * a.t), -1, len(cols) - 1)
+                bad = np.unravel_index(int(np.argmax(counts != 1)), counts.shape)
+                return Witness(kind, cols, tuple(map(int, bad)), int(counts[bad]))
     return None
 
 
@@ -645,10 +635,6 @@ def mds_max(t: int, q: int) -> BoundVerdict:
 # ---------------------------------------------------------------------------
 # nonexistence demonstrations
 
-THM48 = "aoa_no_oa_thm48"
-THM410 = "aoa_no_oa_thm410"
-
-
 @dataclass(frozen=True)
 class NonexistenceReport:
     """A constructed, exhaustively verified AOA together with the bound
@@ -682,50 +668,40 @@ class NonexistenceReport:
         return out
 
 
-def nonexistence_witness(kind: str, q: int, t: int | None = None, s: int | None = None,
-                         max_cells: int = caps.CELLS) -> NonexistenceReport:
-    """Construct and exhaustively verify an AOA whose parameters beat the
-    Bush bound for the merged OA.
+def thm48_witness(q: int, t: int, max_cells: int = caps.CELLS) -> NonexistenceReport:
+    """Theorem 4.8: for odd prime power q and 3 <= t <= q, an AOA(1,t,q,q)
+    from the polynomial-evaluation generator, constructed and exhaustively
+    verified, whose merged OA would need q+t-1 columns, past the Bush bound."""
+    pj = factor_prime_power(q)
+    if pj is None or pj[0] == 2:
+        raise ValueError(f"q must be an odd prime power, got {q}")
+    if not 3 <= t <= q:
+        raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
+    p, j = _checked_order(q)
+    caps.check_row_space(q, t, q + t - 1, max_cells)
+    aoa = linear_aoa(shamir_matrix(GF(p, j), 1, t, q), 1, t, q, max_cells)
+    return NonexistenceReport(
+        aoa, verify_aoa(aoa, max_cells),
+        attempted_columns=q + t - 1, bound=bush_bound(t, q))
 
-    ``aoa_no_oa_thm48``: for odd prime power q and 3 <= t <= q, an
-    AOA(1,t,q,q) from the polynomial-evaluation generator; the OA would need
-    q+t-1 columns.  ``aoa_no_oa_thm410``: for prime power q and
-    1 <= s <= q-1, an AOA(s,q+1,q+1,q) from the dual construction; the OA
-    would need 2(q+1)-s columns.
-    """
-    if kind == THM48:
-        if t is None:
-            raise ValueError("aoa_no_oa_thm48 requires t")
-        pj = factor_prime_power(q)
-        if pj is None or pj[0] == 2:
-            raise ValueError(f"q must be an odd prime power, got {q}")
-        if not 3 <= t <= q:
-            raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
-        p, j = _checked_order(q)
-        caps.check_row_space(q, t, q + t - 1, max_cells)
-        aoa = linear_aoa(shamir_matrix(GF(p, j), 1, t, q), 1, t, q, max_cells)
-        return NonexistenceReport(
-            aoa, verify_aoa(aoa, max_cells),
-            attempted_columns=q + t - 1, bound=bush_bound(t, q))
 
-    if kind == THM410:
-        if s is None:
-            raise ValueError("aoa_no_oa_thm410 requires s")
-        if factor_prime_power(q) is None:
-            raise ValueError(f"q must be a prime power, got {q}")
-        if not 1 <= s <= q - 1:
-            raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
-        p, j = _checked_order(q)
-        top = q + 1
-        caps.check_row_space(q, top - s, top, max_cells)  # the basis's, for its message
-        caps.check_row_space(q, top, 2 * top - s, max_cells)
-        basis = rs_generator(GF(p, j), top - s)  # (t-s) x (q+1) with t = q+1
-        aoa = dual_aoa(basis, s, top, max_cells)
-        return NonexistenceReport(
-            aoa, verify_aoa(aoa, max_cells),
-            attempted_columns=2 * top - s, bound=bush_bound(top, q))
-
-    raise ValueError(f"unknown nonexistence kind {kind!r}")
+def thm410_witness(q: int, s: int, max_cells: int = caps.CELLS) -> NonexistenceReport:
+    """Theorem 4.10: for prime power q and 1 <= s <= q-1, an AOA(s,q+1,q+1,q)
+    from the dual construction, constructed and exhaustively verified, whose
+    merged OA would need 2(q+1)-s columns, past the Bush bound."""
+    if factor_prime_power(q) is None:
+        raise ValueError(f"q must be a prime power, got {q}")
+    if not 1 <= s <= q - 1:
+        raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
+    p, j = _checked_order(q)
+    top = q + 1
+    caps.check_row_space(q, top - s, top, max_cells)  # the basis's, for its message
+    caps.check_row_space(q, top, 2 * top - s, max_cells)
+    basis = rs_generator(GF(p, j), top - s)  # (t-s) x (q+1) with t = q+1
+    aoa = dual_aoa(basis, s, top, max_cells)
+    return NonexistenceReport(
+        aoa, verify_aoa(aoa, max_cells),
+        attempted_columns=2 * top - s, bound=bush_bound(top, q))
 
 
 # ---------------------------------------------------------------------------

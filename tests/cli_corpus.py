@@ -1,0 +1,206 @@
+"""The CLI conformance corpus: what each recorded ``oaramp`` run printed.
+
+Each entry of ``cli_corpus.json`` is one run of ``cli.main`` in process: its
+argv, its stdin, and the exit status, stdout and stderr it gave when the
+corpus was recorded.  Stdin is inline text, or a recipe: a pipe of commands,
+the first run on empty stdin, whose last output is then changed in a few
+seeded cells (``mutate``).  Stdout is kept as text, or as its SHA-256 when it
+is longer than ``INLINE``.  The runs cover the ``witness:`` and
+``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
+error, and the ``--max-cells`` refusals.
+
+``tests/test_cli_corpus.py`` replays every entry.  The corpus is rewritten
+only on purpose, by ``PYTHONPATH=src python tests/cli_corpus.py`` from the
+repository root; every entry that changes is then listed in CHANGES.md with
+its reason.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
+from oaramp import cli
+
+CORPUS = Path(__file__).resolve().with_name("cli_corpus.json")
+INLINE = 2000  # longest stdout kept as text
+
+
+def mutate(text: str, seed: int, cells: int, augmented: bool = False) -> str:
+    """``text``, an array, with ``cells`` distinct symbols each raised by a
+    seeded 1..v-1 mod v; with ``augmented``, only symbols of an AOA's
+    augmented tuples."""
+    head, *rows = text.splitlines()
+    v = int(head.split()[-1])
+    rows = [re.split(r"([ ,])", row) for row in rows]  # symbols at even places
+    width = len(rows[0]) // 2 + 1
+    first = int(head.split()[3]) if augmented else 0  # k plain symbols come first
+    places = [(i, 2 * j) for i in range(len(rows)) for j in range(first, width)]
+    rng = random.Random(seed)
+    for i, j in rng.sample(places, cells):
+        rows[i][j] = str((int(rows[i][j]) + rng.randrange(1, v)) % v)
+    return "\n".join([head, *("".join(r) for r in rows)]) + "\n"
+
+
+def run(argv: list[str], text: str = "") -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of ``cli.main`` on ``argv`` and stdin ``text``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv, stdin=io.StringIO(text), stdout=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def stdin_of(entry: dict) -> str:
+    stdin = entry["stdin"]
+    if isinstance(stdin, str):
+        return stdin
+    text = ""
+    for argv in stdin["pipe"]:
+        code, text, _ = run(argv, text)
+        assert code == 0, f"recipe step {argv} exited {code}"
+    if "mutate" in stdin:
+        text = mutate(text, **stdin["mutate"])
+    return text
+
+
+def outcome(entry: dict) -> dict:
+    """The recorded fields of one run of ``entry``."""
+    code, out, err = run(entry["argv"], stdin_of(entry))
+    got = {"exit": code, "stderr": err}
+    if len(out) <= INLINE:
+        got["stdout"] = out
+    else:
+        got["stdout_sha256"] = hashlib.sha256(out.encode()).hexdigest()
+    return got
+
+
+# --- the recipes -------------------------------------------------------------------
+
+OA_RS = [("3", "2"), ("4", "3"), ("5", "2"), ("5", "3"), ("7", "2"), ("8", "3")]
+AOAS = [
+    ["construct", "aoa-shamir", "--q", "5", "--s", "1", "--t", "3", "--k", "4"],
+    ["construct", "aoa-shamir", "--q", "7", "--s", "2", "--t", "4", "--k", "6"],
+    ["construct", "aoa-shamir", "--q", "4", "--s", "1", "--t", "2", "--k", "4"],
+    ["construct", "aoa-dual", "--q", "3", "--s", "2", "--t", "4"],
+    ["construct", "aoa-dual", "--q", "5", "--s", "0", "--t", "3"],
+    ["demo", "example-4-3"],
+]
+MERGED = [("5", "2", "0"), ("4", "3", "1"), ("3", "2", "1"), ("5", "3", "2")]
+
+
+def _oa_rs(q: str, t: str) -> list[str]:
+    return ["construct", "oa-rs", "--q", q, "--t", t]
+
+
+def _aoa_pipes() -> list[list[list[str]]]:
+    return ([[argv] for argv in AOAS]
+            + [[_oa_rs(q, t), ["construct", "aoa-merge", "--s", s]] for q, t, s in MERGED])
+
+
+def _mutations(pipe, seeds, augmented=False):
+    for cells in (1, 2, 3, 4):
+        for seed in seeds:
+            mut = {"seed": seed, "cells": cells}
+            if augmented:
+                mut["augmented"] = True
+            yield {"pipe": pipe, "mutate": mut}
+
+
+def _dual_with_swapped_symbols() -> str:
+    """The dual AOA(1,4,4,4) with symbols 2 and 3 of plain column 2 swapped:
+    still an AOA, and its split fails with no linear relation to report."""
+    _, text, _ = run(["construct", "aoa-dual", "--q", "4", "--s", "1", "--t", "4"])
+    head, *rows = text.splitlines()
+    swapped = []
+    for row in rows:
+        symbols = row.split(" ")
+        symbols[1] = {"2": "3", "3": "2"}.get(symbols[1], symbols[1])
+        swapped.append(" ".join(symbols))
+    return "\n".join([head, *swapped]) + "\n"
+
+
+def cases() -> list[dict]:
+    """Every entry's argv and stdin, in corpus order."""
+    out = []
+
+    def add(argv, stdin=""):
+        out.append({"argv": argv, "stdin": stdin})
+
+    # verify: valid arrays, seeded corruptions, row counts
+    for q, t in OA_RS:
+        add(["verify"], {"pipe": [_oa_rs(q, t)]})
+        for stdin in _mutations([_oa_rs(q, t)], (0, 1, 2)):
+            add(["verify"], stdin)
+    for pipe in _aoa_pipes():
+        add(["verify"], {"pipe": pipe})
+        for stdin in _mutations(pipe, (0, 1)):
+            add(["verify"], stdin)
+        for stdin in _mutations(pipe, (0, 1, 2), augmented=True):
+            add(["verify"], stdin)
+    add(["verify"], "OA 2 3 2\n0 0 0\n")
+    add(["verify"], "AOA 1 2 2 2\n0 0 0\n0 1 1\n1 0 1\n")
+    # split: passing, failing with and without a dependency, refusing a non-AOA
+    for pipe in _aoa_pipes():
+        add(["split"], {"pipe": pipe})
+        for stdin in _mutations(pipe, (0,)):
+            add(["split"], stdin)
+        for stdin in _mutations(pipe, (0,), augmented=True):
+            add(["split"], stdin)
+    add(["split"], _dual_with_swapped_symbols())
+    add(["split"], "\n".join(["AOA 0 2 2 6"] + [f"{a} {b} {b},{a}" for a in range(6)
+                                                for b in range(6)]) + "\n")
+    add(["split"], "OA 2 3 2\n0 0 0\n")
+    # demo: every report and every error
+    for q, t in [(3, 3), (5, 3), (5, 4), (5, 5), (7, 3), (9, 3), (9, 5), (25, 3), (27, 4)]:
+        add(["demo", "thm48", "--q", str(q), "--t", str(t)])
+    for q, t in [(4, 3), (2, 3), (15, 3), (1, 3), (0, 3), (-3, 3), (5, 2), (5, 6), (3, 4),
+                 (65536, 3), (65537, 3), (131071, 3), (59049, 50000), (10**30, 3)]:
+        add(["demo", "thm48", "--q", str(q), "--t", str(t)])
+    for q, s in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (7, 6), (8, 7)]:
+        add(["demo", "thm410", "--q", str(q), "--s", str(s)])
+    for q, s in [(6, 1), (1, 1), (0, 1), (3, 0), (3, 3), (3, -1), (2, 2), (65536, 1),
+                 (65537, 1), (10**30, 1), (11, 1)]:
+        add(["demo", "thm410", "--q", str(q), "--s", str(s)])
+    add(["demo", "example-4-3"])
+    # --max-cells: refusals, the positive check, and caps that still admit the run
+    for cap in ("0", "-5", "10", "26", "27", "8000", "999999999999"):
+        add(["--max-cells", cap, "demo", "example-4-3"])
+        add(["--max-cells", cap, "demo", "thm48", "--q", "9", "--t", "3"])
+        add(["--max-cells", cap, "demo", "thm410", "--q", "3", "--s", "2"])
+        add(["--max-cells", cap, "verify"], {"pipe": [_oa_rs("5", "2")]})
+        add(["--max-cells", cap, "split"], {"pipe": [["demo", "example-4-3"]]})
+        add(["--max-cells", cap, "construct", "oa-rs", "--q", "5", "--t", "3"])
+        add(["--max-cells", cap, "construct", "aoa-shamir", "--q", "5", "--s", "1",
+             "--t", "3", "--k", "4"])
+        add(["--max-cells", cap, "construct", "aoa-dual", "--q", "3", "--s", "2", "--t", "4"])
+        add(["--max-cells", cap, "construct", "aoa-merge", "--s", "1"],
+            {"pipe": [_oa_rs("3", "2")]})
+        add(["--max-cells", cap, "ramp", "audit"], {"pipe": [["demo", "example-4-3"]]})
+        add(["--max-cells", cap, "ramp", "deal", "--secret", "1,2", "--seed", "3"],
+            {"pipe": [["demo", "example-4-3"]]})
+    for cap in ("64", "80", "1000", "4000"):
+        add(["--max-cells", cap, "verify"], {"pipe": [_oa_rs("3", "2")]})
+        add(["--max-cells", cap, "split"], {"pipe": AOAS[:1]})
+        add(["--max-cells", cap, "demo", "thm410", "--q", "2", "--s", "1"])
+        add(["--max-cells", cap, "demo", "thm48", "--q", "3", "--t", "3"])
+    add(["--max-cells", "5000", "ramp", "audit"],
+        {"pipe": [["construct", "aoa-shamir", "--q", "8", "--s", "2", "--t", "3", "--k", "4"]]})
+    return out
+
+
+def main() -> int:
+    entries = [{**case, **outcome(case)} for case in cases()]
+    lines = ",\n".join(json.dumps(entry) for entry in entries)  # one entry per line
+    CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {CORPUS.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,6 @@ import time
 
 from oaramp.cli import main as cli_main
 from oaramp.designs import (
-    THM48,
-    THM410,
     Matrix,
     aoa_merge,
     aoa_split,
@@ -19,9 +17,10 @@ from oaramp.designs import (
     demo_aoa_1333,
     dual_aoa,
     load_array,
-    nonexistence_witness,
     oa_from_generator,
     rs_generator,
+    thm48_witness,
+    thm410_witness,
     verify_aoa,
     verify_mds,
     verify_oa,
@@ -102,7 +101,7 @@ def test_criterion_3_bound_beating_aoa_family():
     exhaustively verify, and confirm q+t-1 beats the Bush bound; under 30 s."""
     started = time.perf_counter()
     for q, t in [(3, 3), (5, 3), (5, 4), (5, 5)]:
-        report = nonexistence_witness(THM48, q, t=t)
+        report = thm48_witness(q, t)
         a = report.aoa
         assert (a.s, a.t, a.k, a.v) == (1, t, q, q)
         assert len(a.rows) == q**t
@@ -110,7 +109,7 @@ def test_criterion_3_bound_beating_aoa_family():
         assert report.attempted_columns == q + t - 1
         assert report.attempted_columns > report.bound.max_k
         assert report.holds
-    assert nonexistence_witness(THM48, 3, t=3).bound.max_k == 4  # 5 > 4
+    assert thm48_witness(3, 3).bound.max_k == 4  # 5 > 4
     elapsed = time.perf_counter() - started
     assert elapsed < 30, f"bound-beating family took {elapsed:.1f}s"
     _passed(3, "AOA(1,t,q,q) exists where OA(t,q+t-1,q) cannot", started)
@@ -135,7 +134,7 @@ def test_criterion_4_dual_construction_exact_matrices():
     assert len(a.rows) == 81
     assert verify_aoa(a).ok
 
-    report = nonexistence_witness(THM410, 3, s=2)
+    report = thm410_witness(3, 2)
     assert report.aoa == a
     assert report.attempted_columns == 6
     assert bush_bound(4, 3).max_k == 5

@@ -3,11 +3,10 @@
 import pytest
 
 from oaramp.designs import (
-    THM48,
-    THM410,
     bush_bound,
     mds_max,
-    nonexistence_witness,
+    thm48_witness,
+    thm410_witness,
     verify_aoa,
 )
 
@@ -78,7 +77,7 @@ def test_mds_max_validation():
 
 
 def test_nonexistence_thm48_q3_t3():
-    report = nonexistence_witness(THM48, 3, t=3)
+    report = thm48_witness(3, 3)
     a = report.aoa
     assert (a.s, a.t, a.k, a.v) == (1, 3, 3, 3)
     assert report.aoa_result.ok
@@ -89,7 +88,7 @@ def test_nonexistence_thm48_q3_t3():
 
 
 def test_nonexistence_thm48_larger():
-    report = nonexistence_witness(THM48, 9, t=3)
+    report = thm48_witness(9, 3)
     assert (report.aoa.s, report.aoa.t, report.aoa.k, report.aoa.v) == (1, 3, 9, 9)
     assert report.holds
     assert report.attempted_columns == 11 and report.bound.max_k == 10
@@ -97,19 +96,17 @@ def test_nonexistence_thm48_larger():
 
 def test_nonexistence_thm48_hypotheses():
     with pytest.raises(ValueError):
-        nonexistence_witness(THM48, 4, t=3)   # q must be odd
+        thm48_witness(4, 3)   # q must be odd
     with pytest.raises(ValueError):
-        nonexistence_witness(THM48, 15, t=3)  # odd but not a prime power
+        thm48_witness(15, 3)  # odd but not a prime power
     with pytest.raises(ValueError):
-        nonexistence_witness(THM48, 5, t=2)   # t >= 3
+        thm48_witness(5, 2)   # t >= 3
     with pytest.raises(ValueError):
-        nonexistence_witness(THM48, 5, t=6)   # t <= q
-    with pytest.raises(ValueError):
-        nonexistence_witness(THM48, 5)        # t required
+        thm48_witness(5, 6)   # t <= q
 
 
 def test_nonexistence_thm410_q3_s2():
-    report = nonexistence_witness(THM410, 3, s=2)
+    report = thm410_witness(3, 2)
     a = report.aoa
     assert (a.s, a.t, a.k, a.v) == (2, 4, 4, 3)
     assert len(a.rows) == 81
@@ -120,7 +117,7 @@ def test_nonexistence_thm410_q3_s2():
 
 
 def test_nonexistence_thm410_q2():
-    report = nonexistence_witness(THM410, 2, s=1)
+    report = thm410_witness(2, 1)
     assert (report.aoa.s, report.aoa.t, report.aoa.k, report.aoa.v) == (1, 3, 3, 2)
     assert report.holds
     assert report.attempted_columns == 5 and report.bound.max_k == 4
@@ -128,12 +125,8 @@ def test_nonexistence_thm410_q2():
 
 def test_nonexistence_thm410_hypotheses():
     with pytest.raises(ValueError):
-        nonexistence_witness(THM410, 6, s=1)  # not a prime power
+        thm410_witness(6, 1)  # not a prime power
     with pytest.raises(ValueError):
-        nonexistence_witness(THM410, 3, s=3)  # s <= q-1
+        thm410_witness(3, 3)  # s <= q-1
     with pytest.raises(ValueError):
-        nonexistence_witness(THM410, 3, s=0)  # s >= 1 for the basis to exist
-    with pytest.raises(ValueError):
-        nonexistence_witness(THM410, 3)       # s required
-    with pytest.raises(ValueError):
-        nonexistence_witness("no_such_kind", 3, t=3)
+        thm410_witness(3, 0)  # s >= 1 for the basis to exist

@@ -158,12 +158,12 @@ def test_demos_check_the_cell_cap_before_building_a_generator(monkeypatch):
     monkeypatch.setattr(designs, "shamir_matrix", never)
     with pytest.raises(CapExceeded, match=r"50000x109048 matrix over GF\(59049\) needs "
                                           r"59049\^50000\*109048 cells, cap is 10000000"):
-        designs.nonexistence_witness(designs.THM48, 59049, t=50000)
+        designs.thm48_witness(59049, 50000)
     with pytest.raises(CapExceeded, match=r"65536x65537 matrix over GF\(65536\) needs "
                                           r"65536\^65536\*65537 cells, cap is 10000000"):
-        designs.nonexistence_witness(designs.THM410, 65536, s=1)
+        designs.thm410_witness(65536, 1)
     with pytest.raises(CapExceeded, match="3x11 matrix over GF\\(9\\) needs 8019 cells, cap is 8000"):
-        designs.nonexistence_witness(designs.THM48, 9, t=3, max_cells=8000)
+        designs.thm48_witness(9, 3, max_cells=8000)
 
 
 def test_dual_aoa_checks_both_row_spaces_before_enumerating_either(monkeypatch):

@@ -2,7 +2,7 @@
 and dealing against the pure-Python reference versions in ``oracles``.
 
 Inputs cover alphabets 2..6 (6 is not a prime power): random candidates with
-wrong row counts, one-cell corruptions of constructed arrays, swapped
+wrong row counts, one- to four-cell corruptions of constructed arrays, swapped
 augmented tuples, non-ideal, short and weighted rule tables, and bundles
 that are valid, inconsistent or ambiguous.  Every result must be equal to
 the oracle's, field by field.
@@ -253,9 +253,9 @@ def test_mark_path_finds_a_failure_in_the_augmented_check(q, t, s, aug, columns)
 ], ids=repr)
 def test_valid_arrays_never_reach_the_counting_witness(a, monkeypatch):
     def counted(*args):
-        raise AssertionError("_coverage reached on a valid array")
+        raise AssertionError("_tally reached on a valid array")
 
-    monkeypatch.setattr(oaramp.designs, "_coverage", counted)
+    monkeypatch.setattr(oaramp.designs, "_tally", counted)
     assert (verify_oa(a) if isinstance(a, OrthogonalArray) else verify_aoa(a)).ok
 
 
@@ -325,6 +325,39 @@ def test_split_scans_only_the_mixed_subsets_and_matches_a_full_scan(a, seed):
              if 0 < sum(c >= a.k for c in cols) < a.aug_width]
     # for s = t-1 there are none, and the coverage kernel is not reached
     assert wide_scans == ([mixed] if mixed else [])
+
+
+# (array, corruptions drawn): OAs, then AOAs with s = 0, 1 and 2
+MULTI_CELL_CASES = [
+    (rs_oa(4, 3), 40), (rs_oa(7, 2), 40), (zero_sum_oa(2, 6), 40),
+    (aoa_merge(rs_oa(5, 2), 0), 40), (dual_rs_aoa(5, 0, 3), 30),
+    (shamir_aoa(5, 1, 3, 5), 40), (aoa_merge(rs_oa(4, 3), 1), 40),
+    (aoa_merge(rs_oa(5, 3), 2), 40), (dual_rs_aoa(4, 2, 4), 40), (shamir_aoa(7, 2, 4, 6), 12),
+]
+
+
+@pytest.mark.parametrize("a,draws", MULTI_CELL_CASES, ids=[repr(a) for a, _ in MULTI_CELL_CASES])
+def test_witnesses_of_multi_cell_corruptions_match_the_oracle(a, draws):
+    """One to four seeded corrupted cells.  Two or more often leave several
+    offending tuples in the first failing subset, and the witness is the
+    least of them with the subset's columns in order, augmented digits last.
+    A corrupted plain cell usually breaks condition (i) first, so half the
+    corruptions of an AOA touch only its augmented digits.  Every split,
+    of the array as built and as corrupted, is compared too."""
+    rng = random.Random(19)
+    aug = isinstance(a, AugmentedOA)
+    if aug:
+        check_aoa(a)
+    for _ in range(draws):
+        rows = rows_of(a)
+        first = a.k if aug and rng.random() < 0.5 else 0
+        places = [(i, j) for i in range(len(rows)) for j in range(first, len(rows[0]))]
+        for i, j in rng.sample(places, rng.randint(1, 4)):
+            rows[i][j] = (rows[i][j] + rng.randrange(1, a.v)) % a.v
+        if aug:
+            check_aoa(same_aoa(a, rows))
+        else:
+            check_oa(OrthogonalArray(a.t, a.k, a.v, rows))
 
 
 # --- schemes: audit, reconstruct, deal -------------------------------------------

@@ -176,9 +176,9 @@ def test_scheme_from_threshold_aoa_has_v_secrets():
 
 
 def test_scheme_from_aoa_2443():
-    from oaramp.designs import THM410, nonexistence_witness
+    from oaramp.designs import thm410_witness
 
-    a = nonexistence_witness(THM410, 3, s=2).aoa
+    a = thm410_witness(3, 2).aoa
     sch = scheme_from_aoa(a)
     assert len(sch.secrets) == 9
     for key in sch.secrets:
