@@ -2,6 +2,7 @@
 every exhaustive verdict bounded: each one's default, the count of the work
 it bounds, and the one refusal, raised before that work starts.  Counts are
 written in full, but from 20 digits on a cell or rule-visit count is its formula.
+The cell cap also bounds an array's text while it is read.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from .errors import CapExceeded
 CELLS = 10**7  # of a row space, or of an array under verification
 SUBSETS = 10**5  # column subsets that one verification (or verify_mds) scans
 RULE_VISITS = 10**7  # of one security audit
+# Characters of array text read per cell of the cap: a symbol of 19 digits,
+# the most a 64-bit grid holds, and its separator.
+TEXT_CHARS = 20
 
 _EXACT_BELOW = 10**20
 
@@ -49,6 +53,16 @@ def check_verify(v: int, t: int, width: int, k: int, sizes: Sequence[int],
     its C(k, size) column subsets for each of ``sizes``."""
     _refuse_cells(v, t, width, max_cells, "verification needs %s cells")
     check_subsets(k, sizes)
+
+
+def check_text(cells: int, chars: int, max_cells: int) -> None:
+    """Refuse array text, as read so far, of more than ``max_cells`` cells or
+    more than ``TEXT_CHARS`` characters per cell of that cap."""
+    if cells > max_cells:
+        raise CapExceeded(f"array text holds more than {max_cells} cells, cap is {max_cells}")
+    if chars > TEXT_CHARS * max_cells:
+        raise CapExceeded(f"array text holds more than {TEXT_CHARS * max_cells} characters, "
+                          f"cap is {TEXT_CHARS} per cell of the cell cap {max_cells}")
 
 
 def check_subsets(k: int, sizes: Sequence[int]) -> None:

@@ -13,6 +13,8 @@ import functools
 import sys
 from typing import TextIO
 
+import numpy as np
+
 from . import caps, designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
 from .gf import GF, _checked_order, _checked_pj
@@ -117,15 +119,56 @@ def _parse_secret(text: str) -> tuple[int, ...]:
         raise ValueError(f"malformed secret {text!r}, expected comma-separated integers")
 
 
-def _load_stdin_array(stdin: TextIO):
-    text = stdin.read()
-    if not text.strip():
+# Characters read from stdin at a time.
+_PIECE = 2**16
+
+
+def _stdin_array(stdin: TextIO, cap: int, use):
+    """The array on ``stdin``, read in bounded pieces, and ``use(array)``.
+
+    The body is read ``_PIECE`` characters at a time, and ``caps.check_text``
+    refuses it once past the cap.  Its cells, runs of characters above space
+    other than commas, are counted only once it could hold more than the
+    cap: n characters hold (n + 1) // 2 at most.  Before a second piece is
+    read or the first one counted, ``use`` runs on the array that the header
+    line announces, with no rows: a cap refusal there comes before the body
+    is read, and any other error is left for the whole array to raise.  So
+    an input of one piece with too short a body to count is read as before.
+    """
+    text = stdin.read(_PIECE)
+    end = text.find("\n")
+    if end < 0 and len(text) < _PIECE:
+        end = len(text)  # the whole input is one line
+    last, pieces = text, [text[end + 1:]]
+    chars, counted, cells, inside = len(pieces[0]), 0, 0, False
+    if end >= 0 and (len(text) == _PIECE or chars >= 2 * cap):
+        try:
+            header = designs.load_array(text[:end])
+            if not len(header.grid):
+                use(header)
+        except ValueError:
+            pass
+    while True:
+        for part in pieces[counted:] if chars >= 2 * cap else ():
+            data = np.frombuffer(part.encode(), dtype=np.uint8)
+            symbol = np.concatenate(([inside], (data > 32) & (data != 44)))
+            cells += int(np.count_nonzero(symbol[1:] > symbol[:-1]))
+            inside, counted = bool(symbol[-1]), counted + 1
+        caps.check_text(cells, chars, cap)
+        if len(last) < _PIECE:
+            break
+        last = stdin.read(_PIECE)
+        pieces.append(last)
+        chars += len(last)
+    if len(pieces) > 1:
+        text = "".join([text[:end + 1], *pieces])
+    if not text or text.isspace():
         raise ValueError("expected an array on standard input")
-    return designs.load_array(text)
+    a = designs.load_array(text)
+    return a, use(a)
 
 
-def _scheme_from_stdin(stdin: TextIO, cap: int) -> ramp.RampScheme:
-    a = _load_stdin_array(stdin)
+def _scheme(a, cap: int) -> ramp.RampScheme:
     if not isinstance(a, designs.AugmentedOA):
         raise ValueError("ramp commands expect an AOA-format scheme on standard input")
     return ramp.scheme_from_aoa(a, cap)
@@ -143,10 +186,11 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
     parameters outside a builder's range are left for the builder to report."""
     cap = _cap(args)
     if args.verb == "aoa-merge":
-        a = _load_stdin_array(stdin)
-        if not isinstance(a, designs.OrthogonalArray):
-            raise ValueError("aoa-merge expects an OA on standard input")
-        out.write(designs.dump_array(designs.aoa_merge(a, args.s, cap)))
+        def merge(a):
+            if not isinstance(a, designs.OrthogonalArray):
+                raise ValueError("aoa-merge expects an OA on standard input")
+            return designs.aoa_merge(a, args.s, cap)
+        out.write(designs.dump_array(_stdin_array(stdin, cap, merge)[1]))
         return 0
     p, j = _order_from_args(args)
     q = p**j
@@ -180,11 +224,12 @@ def _cmd_construct(args, stdin: TextIO, out: TextIO) -> int:
 
 def _cmd_verify(args, stdin: TextIO, out: TextIO) -> int:
     cap = _cap(args)
-    a = _load_stdin_array(stdin)
-    if isinstance(a, designs.OrthogonalArray):
-        res = designs.verify_oa(a, cap)
-    else:
-        res = designs.verify_aoa(a, cap)
+
+    def verify(a):
+        if isinstance(a, designs.OrthogonalArray):
+            return designs.verify_oa(a, cap)
+        return designs.verify_aoa(a, cap)
+    a, res = _stdin_array(stdin, cap, verify)
     if res.ok:
         out.write(f"{_describe(a)}: VALID ({len(a.grid)} rows, exhaustive)\n")
         return 0
@@ -195,10 +240,12 @@ def _cmd_verify(args, stdin: TextIO, out: TextIO) -> int:
 
 def _cmd_split(args, stdin: TextIO, out: TextIO) -> int:
     cap = _cap(args)
-    a = _load_stdin_array(stdin)
-    if not isinstance(a, designs.AugmentedOA):
-        raise ValueError("split expects an AOA on standard input")
-    result = designs.aoa_split(a, cap)
+
+    def split(a):
+        if not isinstance(a, designs.AugmentedOA):
+            raise ValueError("split expects an AOA on standard input")
+        return designs.aoa_split(a, cap)
+    a, result = _stdin_array(stdin, cap, split)
     if result.ok:
         out.write(designs.dump_array(result.array))
         return 0
@@ -223,7 +270,7 @@ def _cmd_bounds(args, out: TextIO) -> int:
 
 def _cmd_ramp(args, stdin: TextIO, out: TextIO) -> int:
     cap = _cap(args)
-    sch = _scheme_from_stdin(stdin, cap)
+    sch = _stdin_array(stdin, cap, lambda a: _scheme(a, cap))[1]
     if args.verb == "deal":
         bundle = ramp.deal(sch, _parse_secret(args.secret), args.seed)
         out.write(ramp.format_bundle(bundle) + "\n")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caps
 from .errors import ConstructionError
-from .gf import GF, ORDER_CAP, _checked_order, factor_prime_power, field_for_order
+from .gf import GF, ORDER_CAP, _check_order_cap, factor_prime_power, field_for_order
 from .linalg import Matrix, first_dependent, kernel_vector, row_space
 
 
@@ -42,13 +42,26 @@ class _Array:
         """An array over ``grid``, which the caller guarantees is canonical and
         valid for ``params`` (the constructor's leading arguments)."""
         a = cls.__new__(cls)
-        a._fill(params, grid)
+        a._set(params)
+        a.grid = grid
         return a
 
-    def _fill(self, params: tuple[int, ...], grid: np.ndarray) -> None:
+    @classmethod
+    def _adopting(cls, grid: np.ndarray, *params: int):
+        """The array the constructor would build from ``params`` and ``grid``,
+        a new int64 grid that the caller hands over: kept, not copied, when
+        it is already canonical."""
+        a = cls.__new__(cls)
+        a._fill(params, grid, adopt=True)
+        return a
+
+    def _set(self, params: tuple[int, ...]) -> None:
         for name, value in zip(self.__slots__, params):
             setattr(self, name, value)
-        self.grid = grid
+
+    def _fill(self, params: tuple[int, ...], rows, adopt: bool = False) -> None:
+        self._set(params)
+        self.grid = _canonical_grid(rows, self._width(), self.v, adopt)[0]
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -77,9 +90,12 @@ class OrthogonalArray(_Array):
     __slots__ = ("t", "k", "v")
 
     def __init__(self, t: int, k: int, v: int, rows: Iterable[Sequence[int]]):
-        if not 1 <= t <= k:
-            raise ValueError(f"strength must satisfy 1 <= t <= k, got t={t}, k={k}")
-        self._fill((t, k, v), _canonical_grid(rows, k, v)[0])
+        self._fill((t, k, v), rows)
+
+    def _width(self) -> int:
+        if not 1 <= self.t <= self.k:
+            raise ValueError(f"strength must satisfy 1 <= t <= k, got t={self.t}, k={self.k}")
+        return self.k
 
     def __repr__(self) -> str:
         return f"OA({self.t},{self.k},{self.v}) [{len(self.grid)} rows]"
@@ -91,11 +107,14 @@ class AugmentedOA(_Array):
     __slots__ = ("s", "t", "k", "v")
 
     def __init__(self, s: int, t: int, k: int, v: int, rows: Iterable[Sequence[int]]):
-        if not 0 <= s < t:
-            raise ValueError(f"thresholds must satisfy 0 <= s < t, got s={s}, t={t}")
-        if t > k:
-            raise ValueError(f"strength must satisfy t <= k, got t={t}, k={k}")
-        self._fill((s, t, k, v), _canonical_grid(rows, k + (t - s), v)[0])
+        self._fill((s, t, k, v), rows)
+
+    def _width(self) -> int:
+        if not 0 <= self.s < self.t:
+            raise ValueError(f"thresholds must satisfy 0 <= s < t, got s={self.s}, t={self.t}")
+        if self.t > self.k:
+            raise ValueError(f"strength must satisfy t <= k, got t={self.t}, k={self.k}")
+        return self.k + self.aug_width
 
     @property
     def aug_width(self) -> int:
@@ -106,15 +125,19 @@ class AugmentedOA(_Array):
 
 
 def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
-                    v: int) -> tuple[np.ndarray, np.ndarray]:
+                    v: int, adopt: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rows as a read-only grid in canonical (lexicographic) order, and the
     permutation that sorted them: row i of the grid is input row order[i].
     A 2-d int64 array (a row space, say) is taken as it is, without a copy
-    into Python tuples; the grid is always a new array.
+    into Python tuples; the grid is a new array unless the array is already
+    canonical and ``adopt`` says that the caller hands it over.
 
-    The sort is one stable ``np.lexsort`` over base-v keys of column blocks,
-    c columns to a key with c the largest such that v^c <= 2^63 (one column
-    for larger v), so it gives the order and ``order`` of a lexsort over
+    Rows are keyed in base v by column blocks, c columns to a key with c
+    the largest such that v^c <= 2^63 (one column for larger v).  They are
+    already canonical when their leading block's keys strictly ascend, and
+    need no sort.  Else a stable sort on those keys orders them, if it
+    leaves no ties; and if it does, one stable ``np.lexsort`` over every
+    block's keys.  Either gives the order and ``order`` of a lexsort over
     every column.  Fewer than two rows are already in order, and are not
     keyed: the key loop's cost grows with the width, which a header alone
     can make huge."""
@@ -133,14 +156,22 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
             grid = np.array(rows, dtype=np.int64).reshape(len(rows), width)
         except OverflowError:
             raise ValueError(f"symbols must lie in [0, {min(v, 2**63) - 1}]") from None
+        adopt = True
     if grid.size and not 0 <= grid.min() <= grid.max() < v:
         raise ValueError(f"symbol {grid[(grid < 0) | (grid >= v)][0]} outside [0, {v - 1}]")
     order = np.arange(len(grid))
     if len(grid) > 1:
         c = next(c for c in itertools.count(1) if v ** (c + 1) > 2**63)
-        order = np.lexsort([_key(grid.T, range(start, min(start + c, width)), v)
-                            for start in reversed(range(0, width, c))])  # last key first
-    grid = grid[order]
+        lead = _key(grid.T, range(min(c, width)), v)
+        if not (lead[1:] > lead[:-1]).all():
+            order = np.argsort(lead, kind="stable")
+            ties = lead[order]
+            if not (ties[1:] > ties[:-1]).all():
+                order = np.lexsort([_key(grid.T, range(start, min(start + c, width)), v)
+                                    for start in reversed(range(c, width, c))] + [lead])
+            grid, adopt = grid[order], True
+    if not adopt:
+        grid = grid.copy()
     grid.setflags(write=False)
     return grid, order
 
@@ -403,7 +434,7 @@ def oa_from_generator(m: Matrix, t: int, max_cells: int = caps.CELLS) -> Orthogo
     cols = first_dependent(m, itertools.combinations(range(m.cols), t))
     if cols is not None:
         raise _dependent(cols, "strength")
-    return OrthogonalArray(t, m.cols, m.field.q, row_space(m, max_cells))
+    return OrthogonalArray._adopting(row_space(m, max_cells), t, m.cols, m.field.q)
 
 
 def linear_aoa(m: Matrix, s: int, t: int, k: int,
@@ -429,7 +460,7 @@ def linear_aoa(m: Matrix, s: int, t: int, k: int,
         (cols + tail for cols in itertools.combinations(range(k), s))))
     if cols is not None:
         raise _dependent(cols, "augmented-independence" if cols[-1] >= k else "plain-strength")
-    return AugmentedOA(s, t, k, m.field.q, row_space(m, max_cells))
+    return AugmentedOA._adopting(row_space(m, max_cells), s, t, k, m.field.q)
 
 
 def shamir_matrix(field: GF, s: int, t: int, k: int) -> Matrix:
@@ -672,12 +703,13 @@ def thm48_witness(q: int, t: int, max_cells: int = caps.CELLS) -> NonexistenceRe
     """Theorem 4.8: for odd prime power q and 3 <= t <= q, an AOA(1,t,q,q)
     from the polynomial-evaluation generator, constructed and exhaustively
     verified, whose merged OA would need q+t-1 columns, past the Bush bound."""
+    _check_order_cap(q)
     pj = factor_prime_power(q)
     if pj is None or pj[0] == 2:
         raise ValueError(f"q must be an odd prime power, got {q}")
     if not 3 <= t <= q:
         raise ValueError(f"need 3 <= t <= q, got t={t}, q={q}")
-    p, j = _checked_order(q)
+    p, j = pj
     caps.check_row_space(q, t, q + t - 1, max_cells)
     aoa = linear_aoa(shamir_matrix(GF(p, j), 1, t, q), 1, t, q, max_cells)
     return NonexistenceReport(
@@ -689,11 +721,13 @@ def thm410_witness(q: int, s: int, max_cells: int = caps.CELLS) -> NonexistenceR
     """Theorem 4.10: for prime power q and 1 <= s <= q-1, an AOA(s,q+1,q+1,q)
     from the dual construction, constructed and exhaustively verified, whose
     merged OA would need 2(q+1)-s columns, past the Bush bound."""
-    if factor_prime_power(q) is None:
+    _check_order_cap(q)
+    pj = factor_prime_power(q)
+    if pj is None:
         raise ValueError(f"q must be a prime power, got {q}")
     if not 1 <= s <= q - 1:
         raise ValueError(f"need 1 <= s <= q-1, got s={s}, q={q}")
-    p, j = _checked_order(q)
+    p, j = pj
     top = q + 1
     caps.check_row_space(q, top - s, top, max_cells)  # the basis's, for its message
     caps.check_row_space(q, top, 2 * top - s, max_cells)
@@ -755,13 +789,53 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
 
 # Longest symbol the whole-text reader takes: 18 digits always fit int64.
 _MAX_DIGITS = 18
+# Cells read per step by ``load_array``, at most: bounds its temporaries.
+_LOAD_CELLS = 2**13
 
 
-def _read_dumped(body: str, k: int, aug_width: int) -> np.ndarray | None:
-    """The rows of ``body`` as an int64 grid if it is laid out exactly as
-    ``dump_array`` writes rows of k plain symbols and an ``aug_width``-tuple
-    (the final newline may be missing), every symbol 1 to 18 ASCII digits;
-    else None.  ``body`` is ASCII.
+def _read_dumped(text: str, start: int, k: int, aug_width: int) -> np.ndarray | None:
+    """The rows of ``text[start:]`` as an int64 grid if they are laid out
+    exactly as ``dump_array`` writes rows of k plain symbols and an
+    ``aug_width``-tuple (the final newline may be missing), every symbol 1
+    to 18 ASCII digits; else None.  ``text`` is ASCII.
+
+    The rows are read in chunks of whole lines, each one window of
+    2 * ``_LOAD_CELLS`` characters (a cell takes two at least) cut back to
+    its last newline, or one longer line.  Each chunk is checked as
+    ``_read_chunk`` would check the whole text, which it passes exactly when
+    every chunk does.  One chunk is the grid; later ones are written into
+    one grid of a row per line, allocated once the first chunk has passed
+    and the text is long enough for its rows."""
+    width = k + aug_width
+    if not width or start >= len(text):
+        return None
+    window = 2 * _LOAD_CELLS
+    grid, row = None, 0
+    while start < len(text):
+        end = len(text)
+        if end - start > window:
+            end = text.rfind("\n", start, start + window) + 1
+            if not end:  # a line longer than the window
+                end = text.find("\n", start + window) + 1 or len(text)
+        values = _read_chunk(text[start:end], k, aug_width)
+        if values is None:
+            return None
+        if grid is None:
+            if end == len(text):
+                return values
+            unended = not text.endswith("\n")
+            rows = text.count("\n", start) + unended
+            if 2 * rows * width > len(text) - start + unended:
+                return None  # too short for that many rows of width cells
+            grid = np.empty((rows, width), dtype=np.int64)
+        grid[row:row + len(values)] = values
+        row += len(values)
+        start = end
+    return grid
+
+
+def _read_chunk(body: str, k: int, aug_width: int) -> np.ndarray | None:
+    """``_read_dumped`` of whole lines ``body`` in whole-text passes.
 
     Every non-digit byte ends a symbol, and these bytes, one row of the
     separator pattern per text row, are compared with the pattern in one
@@ -769,8 +843,6 @@ def _read_dumped(body: str, k: int, aug_width: int) -> np.ndarray | None:
     counting back from the separator that ends it.
     """
     width = k + aug_width
-    if not width:
-        return None
     data = np.frombuffer((body if body.endswith("\n") else body + "\n").encode(),
                          dtype=np.uint8)
     digits = data - 48  # uint8: every byte but a digit wraps past 9
@@ -799,24 +871,26 @@ def load_array(text: str) -> OrthogonalArray | AugmentedOA:
     """Parse either array format; rows may be in any order and are canonicalized.
 
     Text laid out exactly as ``dump_array`` writes it, with symbols of at
-    most 18 digits, is read in whole-array passes by ``_read_dumped``.  Any
-    other text is read line by line, one ``int()`` per token, and gives the
-    same array or the same error: the fast path takes only text on which the
-    two agree.
+    most 18 digits, is read in chunks of whole-array passes by
+    ``_read_dumped``, and rows already in canonical order are kept as read,
+    with no sort.  Any other text is read line by line, one ``int()`` per
+    token, and gives the same array or the same error: the fast path takes
+    only text on which the two agree.
     """
-    head, _, body = text.partition("\n")
+    end = text.find("\n")
+    head, start = (text, len(text)) if end < 0 else (text[:end], end + 1)
     kind, *numbers = head.split(" ")
     if text.isascii() and all(x.isdigit() for x in numbers):
         if kind == "OA" and len(numbers) == 3:
             t, k, v = map(int, numbers)
-            grid = _read_dumped(body, k, 0)
+            grid = _read_dumped(text, start, k, 0)
             if grid is not None:
-                return OrthogonalArray(t, k, v, grid)
+                return OrthogonalArray._adopting(grid, t, k, v)
         elif kind == "AOA" and len(numbers) == 4:
             s, t, k, v = map(int, numbers)
-            grid = _read_dumped(body, k, t - s) if s < t else None
+            grid = _read_dumped(text, start, k, t - s) if s < t else None
             if grid is not None:
-                return AugmentedOA(s, t, k, v, grid)
+                return AugmentedOA._adopting(grid, s, t, k, v)
     return _load_lines(text)
 
 

@@ -325,11 +325,17 @@ class GF:
         return f"GF({self.q})=GF({self.p}^{self.j}, {_poly_str(self.reducing_poly)})"
 
 
+def _check_order_cap(q: int) -> None:
+    """Refuse a field order past ``ORDER_CAP``: done before factoring, which
+    tests primality."""
+    if q > ORDER_CAP:
+        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+
+
 def _checked_order(q: int) -> tuple[int, int]:
     """(p, j) of the field of order q, refused as ``field_for_order`` refuses
     it but with no table built, so a caller can check its caps on q first."""
-    if q > ORDER_CAP:  # before factoring, which tests primality
-        raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+    _check_order_cap(q)
     pj = factor_prime_power(q)
     if pj is None:
         raise ValueError(f"{q} is not a prime power")

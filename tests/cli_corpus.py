@@ -4,10 +4,11 @@ Each entry of ``cli_corpus.json`` is one run of ``cli.main`` in process: its
 argv, its stdin, and the exit status, stdout and stderr it gave when the
 corpus was recorded.  Stdin is inline text, or a recipe: a pipe of commands,
 the first run on empty stdin, whose last output is then changed in a few
-seeded cells (``mutate``).  Stdout is kept as text, or as its SHA-256 when it
-is longer than ``INLINE``.  The runs cover the ``witness:`` and
+seeded cells (``mutate``), or shuffled, maybe given another header, and
+given one of the text differential's defects (``malform``).  Stdout is kept
+as text, or as its SHA-256 when it is longer than ``INLINE``.  The runs cover the ``witness:`` and
 ``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
-error, and the ``--max-cells`` refusals.
+error, the ``--max-cells`` refusals, and malformed and oversized stdin.
 
 ``tests/test_cli_corpus.py`` replays every entry.  The corpus is rewritten
 only on purpose, by ``PYTHONPATH=src python tests/cli_corpus.py`` from the
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 from oaramp import cli
+from test_text_differential import DEFECTS, with_defect
 
 CORPUS = Path(__file__).resolve().with_name("cli_corpus.json")
 INLINE = 2000  # longest stdout kept as text
@@ -48,6 +50,15 @@ def mutate(text: str, seed: int, cells: int, augmented: bool = False) -> str:
     return "\n".join([head, *("".join(r) for r in rows)]) + "\n"
 
 
+def malform(text: str, defect: str, seed: int, head: str | None = None) -> str:
+    """``text``, an array, with its rows in a seeded order, its header
+    replaced by ``head`` if given, and then ``defect`` placed at seeded spots."""
+    rng = random.Random(seed)
+    first, *rows = text.splitlines()
+    rng.shuffle(rows)
+    return with_defect("\n".join([head or first, *rows]) + "\n", defect, rng.choice)
+
+
 def run(argv: list[str], text: str = "") -> tuple[int, str, str]:
     """(exit status, stdout, stderr) of ``cli.main`` on ``argv`` and stdin ``text``."""
     out, err = io.StringIO(), io.StringIO()
@@ -66,6 +77,8 @@ def stdin_of(entry: dict) -> str:
         assert code == 0, f"recipe step {argv} exited {code}"
     if "mutate" in stdin:
         text = mutate(text, **stdin["mutate"])
+    if "malform" in stdin:
+        text = malform(text, **stdin["malform"])
     return text
 
 
@@ -92,6 +105,13 @@ AOAS = [
     ["demo", "example-4-3"],
 ]
 MERGED = [("5", "2", "0"), ("4", "3", "1"), ("3", "2", "1"), ("5", "3", "2")]
+# The stdin fuzz's sources (tests/test_cli.py), and headers it can draw
+STDIN_SOURCES = [["construct", "oa-rs", "--q", "3", "--t", "2"],
+                 ["construct", "aoa-shamir", "--q", "5", "--s", "1", "--t", "2", "--n", "4"],
+                 ["demo", "example-4-3"]]
+STDIN_HEADS = ["OA 2 4 9", "AOA 1 2 4 2", "OA 0 0 0", "AOA 4 2 1 0", "AOA 1 3 3 9",
+               "OA 9 9 9", f"OA 2 2 {2**62}", f"AOA 0 {2**62} 4 3"]
+STDIN_COMMANDS = [["verify"], ["split"], ["ramp", "audit"]]
 
 
 def _oa_rs(q: str, t: str) -> list[str]:
@@ -156,16 +176,43 @@ def cases() -> list[dict]:
     add(["split"], "\n".join(["AOA 0 2 2 6"] + [f"{a} {b} {b},{a}" for a in range(6)
                                                 for b in range(6)]) + "\n")
     add(["split"], "OA 2 3 2\n0 0 0\n")
+    # malformed stdin: each defect of the text differential, and other headers
+    for source in STDIN_SOURCES:
+        for defect in DEFECTS:
+            for seed in (0, 1):
+                for argv in STDIN_COMMANDS:
+                    add(argv, {"pipe": [source], "malform": {"defect": defect, "seed": seed}})
+        for head in STDIN_HEADS:
+            for defect in ("no final newline", "word"):
+                for argv in STDIN_COMMANDS:
+                    add(argv, {"pipe": [source],
+                               "malform": {"defect": defect, "seed": 0, "head": head}})
+    # rows on the header's line, split from it by "\r" alone
+    for argv in STDIN_COMMANDS:
+        add(argv, "OA 1 1 2\r0\r1\r")
+        add(argv, "AOA 0 1 1 2\r0 0\r1 1\n")
+    # bodies past the cell cap or the character budget, in both layouts
+    for cap, text in [("100", "OA 2 3 2\n" + "0 1 1\n" * 40),
+                      ("100", "OA 2 3 2\n" + "0  1 1\n" * 40),
+                      ("100", "OA 2 3 2\n" + "0 1 1\n" * 33 + "0 1 x\n"),
+                      ("100", "OA 9 9 9\n" + "0 1 1\n" * 33 + "0 1 x\n"),
+                      ("100", "AOA 1 2 2 2\n" + "0 1 1\n" * 40),
+                      ("5", "OA 1 1 2\n" + "\n" * 200),
+                      ("5", "OA 1 1 2\n0\n" + " " * 200 + "1\n")]:
+        add(["--max-cells", cap, "verify"], text)
+    add(["--max-cells", "20", "split"], {"pipe": [_oa_rs("3", "2")]})
+    add(["--max-cells", "20", "ramp", "audit"], {"pipe": [_oa_rs("3", "2")]})
     # demo: every report and every error
     for q, t in [(3, 3), (5, 3), (5, 4), (5, 5), (7, 3), (9, 3), (9, 5), (25, 3), (27, 4)]:
         add(["demo", "thm48", "--q", str(q), "--t", str(t)])
     for q, t in [(4, 3), (2, 3), (15, 3), (1, 3), (0, 3), (-3, 3), (5, 2), (5, 6), (3, 4),
-                 (65536, 3), (65537, 3), (131071, 3), (59049, 50000), (10**30, 3)]:
+                 (65536, 3), (65537, 3), (131071, 3), (59049, 50000), (10**30, 3),
+                 (10**18 + 3, 3), (2**89 - 1, 3)]:
         add(["demo", "thm48", "--q", str(q), "--t", str(t)])
     for q, s in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (7, 6), (8, 7)]:
         add(["demo", "thm410", "--q", str(q), "--s", str(s)])
     for q, s in [(6, 1), (1, 1), (0, 1), (3, 0), (3, 3), (3, -1), (2, 2), (65536, 1),
-                 (65537, 1), (10**30, 1), (11, 1)]:
+                 (65537, 1), (10**30, 1), (11, 1), (10**18 + 3, 1), (2**89 - 1, 1)]:
         add(["demo", "thm410", "--q", str(q), "--s", str(s)])
     add(["demo", "example-4-3"])
     # --max-cells: refusals, the positive check, and caps that still admit the run

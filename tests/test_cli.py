@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaramp import cli, gf
+from oaramp import cli, designs, gf
 from oaramp.cli import main
-from test_text_differential import DEFECTS, with_defect
+from test_text_differential import DEFECTS, drawing, with_defect
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -299,6 +299,25 @@ def test_huge_field_order_exits_2_before_any_primality_test(field):
     assert proc.stderr.startswith("error: ") and "exceeds cap 65536" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "thm48", "--q", str(2**89 - 1), "--t", "3"],
+    ["demo", "thm48", "--q", str(10**18 + 3), "--t", "3"],
+    ["demo", "thm48", "--q", str(10**30), "--t", "3"],
+    ["demo", "thm410", "--q", str(2**89 - 1), "--s", "1"],
+    ["demo", "thm410", "--q", str(10**18 + 3), "--s", "1"],
+])
+def test_the_demos_refuse_a_huge_field_order_before_any_primality_test(argv, monkeypatch,
+                                                                       capsys):
+    # 2^89 - 1 was "cannot decide whether ... is prime", and 10^18 + 3 spent
+    # about 14 ms in Miller-Rabin before the cap
+    def factor(q):
+        raise AssertionError(f"{q} was factored")
+    monkeypatch.setattr(designs, "factor_prime_power", factor)
+    monkeypatch.setattr(gf, "factor_prime_power", factor)
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: field order {argv[3]} exceeds cap 65536\n"
+
+
 @pytest.mark.parametrize("argv, cells", [
     (["construct", "oa-rs", "--q", "4096", "--t", "2"], 4096**2 * 4097),
     (["construct", "aoa-shamir", "--q", "1024", "--s", "1", "--t", "3", "--k", "1024"],
@@ -516,7 +535,7 @@ def stdin_arrays(draw):
                                 max_size=3 + (kind == "AOA")))
         head = " ".join([kind, *map(str, numbers)])
     text = "\n".join([head, *rows]) + "\n"
-    return with_defect(text, draw(st.sampled_from(DEFECTS)), draw(st.data()))
+    return with_defect(text, draw(st.sampled_from(DEFECTS)), drawing(draw(st.data())))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -540,3 +559,115 @@ def test_huge_header_widths_fail_at_once_with_the_line_loop_message(text, messag
     """The whole-text reader builds a header's separator pattern only when
     the text has that many separators, so these go to the line loop."""
     assert run_briefly(["verify"], text) == (2, f"error: {message}\n")
+
+
+class Endless(io.TextIOBase):
+    """A stdin that never ends: ``head``, then ``line`` over and over."""
+
+    def __init__(self, head, line):
+        self.pending, self.block = head, line * 2**12
+
+    def read(self, n=-1):
+        if n is None or n < 0:  # the whole of an endless text: never returns
+            while True:
+                pass
+        out = self.pending
+        while len(out) < n:
+            out += self.block
+        self.pending = out[n:]
+        return out[:n]
+
+
+CELLS_PAST = "error: array text holds more than {0} cells, cap is {0}\n"
+CHARS_PAST = ("error: array text holds more than {} characters, "
+              "cap is 20 per cell of the cell cap {}\n")
+
+
+@pytest.mark.parametrize("argv, stdin, err", [
+    (["verify"], Endless("OA 2 3 2\n", "0 1 1\n"), CELLS_PAST.format(10**7)),
+    (["ramp", "audit"], Endless("AOA 1 2 2 2\n", "0 1 1\n"), CELLS_PAST.format(10**7)),
+    (["--max-cells", "1000", "verify"], Endless("OA 2 3 2\n", "0 "), CELLS_PAST.format(1000)),
+    (["--max-cells", "1000", "split"], Endless("AOA 1 2 2 2\n", "\n"),
+     CHARS_PAST.format(20000, 1000)),
+    (["--max-cells", "1000", "verify"], Endless("OA 2 3 2", " "), CHARS_PAST.format(20000, 1000)),
+    (["split"], Endless("AOA 1 3 3 1000\n", "0 1 x\n"),
+     "error: verification needs 4000000000 cells, cap is 10000000\n"),
+    # a header past the cap is refused before a body long enough to count
+    (["--max-cells", "100", "verify"], io.StringIO("OA 9 9 9\n" + "0 1 1\n" * 33 + "0 1 x\n"),
+     "error: verification needs 3486784401 cells, cap is 100\n"),
+    # bodies past the cap in both layouts; at the cap, the first is a row-count witness
+    (["--max-cells", "100", "verify"], io.StringIO("OA 2 3 2\n" + "0 1 1\n" * 34),
+     CELLS_PAST.format(100)),
+    (["--max-cells", "100", "verify"], io.StringIO("OA 2 3 2\n" + "0 1  1\n" * 34),
+     CELLS_PAST.format(100)),
+    (["--max-cells", "102", "verify"], io.StringIO("OA 2 3 2\n" + "0 1 1\n" * 34), ""),
+    # rows split from the header by "\r": no header alone to check first
+    (["--max-cells", "5", "verify"], io.StringIO("OA 1 1 2\r0\r1\n" + "0\n1\n" * 3),
+     CELLS_PAST.format(5)),
+], ids=["endless-rows", "endless-scheme", "endless-line", "endless-blank-lines",
+        "endless-spaces", "endless-past-cap-header", "past-cap-header", "past-cap",
+        "past-cap-line-loop", "at-cap", "rows-on-the-header-line"])
+def test_a_long_or_endless_stdin_exits_2_at_the_cap(argv, stdin, err):
+    """The body is read in pieces and refused once it holds more cells than
+    the cap, or more than 20 characters per cell of the cap."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.setitimer(signal.ITIMER_REAL, RUN_SECONDS)
+    out, got = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stderr(got):
+            code = main(argv, stdin=stdin, stdout=out)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if err:
+        assert (code, out.getvalue(), got.getvalue()) == (2, "", err)
+    else:
+        assert (code, got.getvalue()) == (1, "")
+        assert out.getvalue().endswith("witness: expected 4 rows, found 34\n")
+
+
+def test_a_body_of_several_pieces_under_the_cap_is_read_whole():
+    text = "OA 2 3 2\n" + "0 1 1\n" * 20000  # 120,009 characters, two pieces
+    assert run(["verify"], text) == (1, "OA(2,3,2): INVALID\n"
+                                        "witness: expected 4 rows, found 20000\n")
+
+
+# A child that runs the CLI and writes its own peak RSS, in KiB, last on
+# stderr.  Not its ru_maxrss: Linux carries the forking process's peak over
+# exec into that, which read 102 MB here under the whole suite.
+CHILD = ("import sys\n"
+         "from oaramp import cli\n"
+         "code = cli.main(sys.argv[1:])\n"
+         "with open('/proc/self/status') as status:\n"
+         "    print(next(ln.split()[1] for ln in status if ln.startswith('VmHWM:')),\n"
+         "          file=sys.stderr)\n"
+         "sys.exit(code)\n")
+CHILD_ENV = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_a_12_mb_body_under_the_cap_keeps_its_row_count_witness():
+    body = "OA 2 3 2\n" + "0 1 1\n" * 2 * 10**6  # 6 * 10^6 cells
+    proc = subprocess.run([sys.executable, "-c", CHILD, "verify"], input=body, env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == "OA(2,3,2): INVALID\nwitness: expected 4 rows, found 2000000\n"
+    assert re.fullmatch(r"\d+\n", proc.stderr)
+
+
+def test_an_endless_piped_stdin_exits_2_in_bounded_memory():
+    """Read whole, the 39 MB fed here would peak near 1 GB before the verdict;
+    the cap stops the read at 2 * 10^7 characters."""
+    proc = subprocess.Popen([sys.executable, "-c", CHILD, "verify"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    block = ("0 1 1\n" * 2**16).encode()
+    try:
+        proc.stdin.write(b"OA 2 3 2\n")
+        for _ in range(100):  # 1.97 * 10^7 cells, twice the cap
+            proc.stdin.write(block)
+    except BrokenPipeError:
+        pass
+    out, err = proc.communicate(timeout=120)
+    message, peak = err.decode().rsplit("error: ", 1)[-1].splitlines()
+    assert (proc.returncode, out) == (2, b"")
+    assert "error: " + message + "\n" == CELLS_PAST.format(10**7)
+    assert int(peak) < 100 * 1024

@@ -3,14 +3,17 @@ against the line-by-line versions in ``oracles``.
 
 Written text must be byte-identical, for arrays of every shape, alphabets up
 to 2^63 and arrays longer than one write block.  Reading a valid text, or one
-with a single defect, must give an equal array or the same error message.
+with a single defect, must give an equal array or the same error message,
+also when it is read in chunks of a few lines.
 The defects include every way a text can leave the layout ``dump_array``
 writes, which is where the reader leaves its whole-text path for its line
 loop; text in that layout must never reach the loop.
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -94,8 +97,14 @@ SPELLINGS = {"plus": lambda x: "+" + x, "leading zeros": lambda x: "00" + x,
              "19 digits": lambda x: x.zfill(19)}
 
 
-def with_defect(text, defect, data):
-    """``text``, canonical array text, with one defect drawn from ``data``."""
+def drawing(data):
+    """A ``pick`` for ``with_defect`` that draws from Hypothesis ``data``."""
+    return lambda options: data.draw(st.sampled_from(options))
+
+
+def with_defect(text, defect, pick):
+    """``text``, canonical array text, with one defect placed by ``pick``,
+    which returns one element of the sequence it is given."""
     lines = text.splitlines()
     if defect == "crlf":
         return "\r\n".join(lines) + "\r\n"
@@ -106,34 +115,33 @@ def with_defect(text, defect, data):
     if defect == "no final newline":
         return text[:-1]
     if defect == "blank between rows":
-        lines.insert(data.draw(st.integers(1, max(1, len(lines) - 1))), "")
+        lines.insert(pick(range(1, max(2, len(lines)))), "")
     elif defect == "header":
         head = lines[0].split()
-        head[data.draw(st.integers(1, len(head) - 1))] = data.draw(
-            st.sampled_from(["0", "-1", "1", "x", str(2**64)]))
+        head[pick(range(1, len(head)))] = pick(["0", "-1", "1", "x", str(2**64)])
         lines[0] = " ".join(head)
     elif defect in ("tab", "double space", "space after comma"):
         old, new = {"tab": (" ", "\t"), "double space": (" ", "  "),
                     "space after comma": (",", ", ")}[defect]
         where = [n for n, ln in enumerate(lines) if old in ln]
         if where:
-            i = data.draw(st.sampled_from(where))
-            at = data.draw(st.sampled_from([n for n, c in enumerate(lines[i]) if c == old]))
+            i = pick(where)
+            at = pick([n for n, c in enumerate(lines[i]) if c == old])
             lines[i] = lines[i][:at] + new + lines[i][at + 1:]
     elif defect in ("leading space", "trailing space"):
-        i = data.draw(st.integers(0, len(lines) - 1))
+        i = pick(range(len(lines)))
         lines[i] = " " + lines[i] if defect == "leading space" else lines[i] + " "
     elif defect in SPELLINGS:
-        i = data.draw(st.integers(0, len(lines) - 1))  # the header's numbers too
+        i = pick(range(len(lines)))  # the header's numbers too
         tokens = lines[i].replace(",", " , ").split()
         symbols = [n for n, x in enumerate(tokens) if x != ","]
-        j = data.draw(st.sampled_from(symbols[1:] if i == 0 else symbols))
+        j = pick(symbols[1:] if i == 0 else symbols)
         tokens[j] = SPELLINGS[defect](tokens[j])
         lines[i] = " ".join(tokens).replace(" , ", ",")
     elif len(lines) > 1:
-        i = data.draw(st.integers(1, len(lines) - 1))
+        i = pick(range(1, len(lines)))
         tokens = lines[i].replace(",", " , ").split()
-        j = data.draw(st.sampled_from([n for n, x in enumerate(tokens) if x != ","]))
+        j = pick([n for n, x in enumerate(tokens) if x != ","])
         if defect == "extra":
             tokens.insert(j, "0")
         elif defect == "missing":
@@ -150,10 +158,27 @@ def with_defect(text, defect, data):
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(arrays(), st.sampled_from(DEFECTS), st.data())
 def test_load_matches_the_oracle_on_one_defect(a, defect, data):
-    text = with_defect(dump_array(a), defect, data)
+    text = with_defect(dump_array(a), defect, drawing(data))
     assert outcome(load_array, text) == outcome(oracles.load_array, text)
 
 
+# Cells per chunk, patched down so that chunks hold one to a few lines.
+SMALL_CHUNKS = [1, 5, 12]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arrays(), st.sampled_from(["none", *DEFECTS]), st.sampled_from(SMALL_CHUNKS),
+       st.integers(0, 9), st.data())
+def test_load_in_chunks_of_a_few_lines_matches_the_oracle(a, defect, cells, seed, data):
+    text = shuffled(dump_array(a), seed)
+    if defect != "none":
+        text = with_defect(text, defect, drawing(data))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_LOAD_CELLS", cells)
+        assert outcome(load_array, text) == outcome(oracles.load_array, text)
+
+
+@pytest.mark.parametrize("cells", [designs._LOAD_CELLS, 1])
 @pytest.mark.parametrize("text", [
     "AOA 1 1 2 3\n0 1\n1 0\n",  # s = t, rows of k symbols
     "AOA 1 1 2 3\n0 1 2\n",
@@ -167,8 +192,11 @@ def test_load_matches_the_oracle_on_one_defect(a, defect, data):
     "OA 1 2 3\n0 1\n2 2",
     f"OA 1 2 {10**18}\n{10**18 - 1} 0\n",
     f"OA 1 2 {10**18}\n{10**18} 0\n",
+    "OA 1 2 3\n0 1\n\n2 2\n",  # a blank line between chunks of one line
+    f"OA 1 1 3\n0\n{'0' * 40}\n1\n",  # a line longer than a window, and too long a symbol
 ])
-def test_load_matches_the_oracle_at_the_edges_of_the_whole_text_path(text):
+def test_load_matches_the_oracle_at_the_edges_of_the_whole_text_path(text, cells, monkeypatch):
+    monkeypatch.setattr(designs, "_LOAD_CELLS", cells)
     assert outcome(load_array, text) == outcome(oracles.load_array, text)
 
 
@@ -209,3 +237,41 @@ def test_canonical_text_of_any_shape_never_reaches_the_line_loop(a, final_newlin
         if len(a.grid):
             refuse_the_line_loop(mp)
         assert load_array(text) == a
+
+
+AOA_2_4_8_11 = linear_aoa(shamir_matrix(GF(11), 2, 4, 8), 2, 4, 8)  # 14,641 rows
+
+
+def test_canonical_text_is_kept_as_read_without_a_sort(monkeypatch):
+    a = AOA_2_4_8_11
+    text = dump_array(a)
+    assert load_array(shuffled(text, seed=1)) == a
+
+    def sort(*args, **kwargs):
+        raise AssertionError("canonical rows were sorted")
+    monkeypatch.setattr(np, "argsort", sort)
+    monkeypatch.setattr(np, "lexsort", sort)
+    loaded = load_array(text)
+    assert loaded == a and not loaded.grid.flags.writeable
+
+
+def test_a_callers_array_in_canonical_order_is_copied_and_left_writeable():
+    rows = np.array(AOA_2_4_8_11.grid)
+    a = AugmentedOA(2, 4, 8, 11, rows)
+    assert a == AOA_2_4_8_11
+    assert rows.flags.writeable and not a.grid.flags.writeable
+    assert not np.shares_memory(rows, a.grid)
+
+
+def test_loading_canonical_text_takes_little_more_memory_than_its_grid():
+    """Text is parsed a chunk at a time into the one grid, which is kept as
+    read: whole-text passes and a sort peaked at 4.57 MiB here."""
+    text = dump_array(AOA_2_4_8_11)
+    tracemalloc.start()
+    try:
+        a = load_array(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a == AOA_2_4_8_11
+    assert peak <= a.grid.nbytes + 2**19
