@@ -13,7 +13,7 @@ from typing import Sequence
 from .errors import CapExceeded
 
 CELLS = 10**7  # of a row space, or of an array under verification
-SUBSETS = 10**5  # column subsets that one verification (or verify_mds) scans
+SUBSETS = 10**5  # column subsets that one verification scans
 RULE_VISITS = 10**7  # of one security audit
 # Characters of array text read per cell of the cap: a symbol of 19 digits,
 # the most a 64-bit grid holds, and its separator.

@@ -282,7 +282,7 @@ def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
 def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> Witness | None:
     """The witness of the first (cols, tail, kind) of ``checks``, each one's
     subsets in the order given, whose columns cols + tail hold a tuple in two
-    rows of ``a``; or None.  ``a`` has at most v^t rows: a projection's base-v
+    rows of ``a``; or None.  ``a`` has v^t rows: a projection's base-v
     keys lie below v^t and are marked in one reused buffer of v^t cells, and a
     tuple repeats exactly when fewer keys are marked than there are rows.  A
     subset's key is its last column after the key of its leading columns and
@@ -316,58 +316,49 @@ def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
 
     Every t-subset of columns (ascending order) must contain each t-tuple
     over [0, v-1] exactly once; the first failure, by subset order and then
-    by tuple order, becomes the witness.
+    by tuple order, becomes the witness.  After the caps, v^t rows that are
+    a linear code over GF(v) whose least nonzero weight, its least distance,
+    is k-t+1 or more pass at once: two codewords that agree on some t columns
+    differ in at most k-t, so every t columns hold v^t distinct tuples
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 11).
+    Every other array, duplicate rows included (their least weight is 0), is
+    scanned for its witness.
     """
     caps.check_verify(a.v, a.t, a.k, a.k, [a.t], max_cells)
+    if len(a.grid) == a.expected_rows:
+        weight = _least_code_weight(a)
+        if weight is not None and weight >= a.k - a.t + 1:
+            return VerifyResult(True)
     return _coverage_scan(a, [(itertools.combinations(range(a.k), a.t), (), "column_subset")])
 
 
 def verify_mds(a: OrthogonalArray) -> bool:
-    """Check that all pairwise Hamming distances between rows are >= k - t + 1.
-
-    Two rows closer than that agree on some t columns, so the check asks
-    whether any t columns hold a tuple twice (the Singleton argument,
-    MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1):
-    more than v^t rows always do.  An array whose rows are exactly a linear
-    code over GF(v) is certified by ``_least_code_weight`` without a scan:
-    the difference of two codewords is a codeword, so the least distance
-    between rows is the least weight of a nonzero row.  Every other array
-    has its C(k, t) column subsets checked against ``caps.SUBSETS``, then
-    each marked by ``_first_repeat``, the kernel verify_oa uses.
+    """Check that ``a`` is an MDS code: v^t rows, any two at Hamming distance
+    k - t + 1 or more (the Singleton bound's most).  Two rows closer than
+    that agree on some t columns, so with v^t rows this is strength t and
+    index 1, which ``verify_oa`` decides (Hedayat, Sloane and Stufken,
+    Orthogonal Arrays, ch. 4): linear codes by certificate, all else by scan.
     """
-    caps.check_verify(a.v, a.t, a.k, a.k, [], caps.CELLS)
-    n = len(a.grid)
-    if n < 2:
-        return True
-    if n > a.expected_rows:
-        return False
-    weight = _least_code_weight(a)
-    if weight is not None:
-        return weight >= a.k - a.t + 1
-    caps.check_subsets(a.k, [a.t])
-    subsets = itertools.combinations(range(a.k), a.t)
-    return _first_repeat(a, [(subsets, (), "column_subset")]) is None
+    return verify_oa(a).ok
 
 
 def _least_code_weight(a: OrthogonalArray) -> int | None:
-    """The least weight among rows 1.. of the grid if its N >= 2 rows are a
-    linear code over GF(v), v a prime power within the field order cap;
-    else None.
+    """The least weight among rows 1.. of the v^t-row grid if it is a linear
+    code over GF(v), v a prime power within the field order cap; else None.
 
-    A linear code of dimension r has N = v^r codewords, and its codeword u B,
+    A linear code of dimension t has v^t codewords, and its codeword u B,
     for the reduced echelon basis B, is the u-th in canonical order, reading
     u in base v: the pivot columns of B carry u's digits, and each column
-    before a pivot depends only on the digits before it.  So rows v^(r-1),
+    before a pivot depends only on the digits before it.  So rows v^(t-1),
     ..., v, 1 of the grid are B, and the grid is that code exactly when it
     equals the row space of those rows, which ``row_space`` lists in the
     same order.  With no duplicate rows, row 0 alone is zero; with
     duplicates, row 1 is zero too and the least weight, 0, is their distance.
     """
-    n, v = len(a.grid), a.v
-    r = next(r for r in itertools.count() if v**r >= n)
-    if v**r != n or v > ORDER_CAP or factor_prime_power(v) is None:
+    v = a.v
+    if v > ORDER_CAP or factor_prime_power(v) is None:
         return None
-    basis = Matrix(field_for_order(v), a.grid[[v**e for e in range(r - 1, -1, -1)]])
+    basis = Matrix(field_for_order(v), a.grid[[v**e for e in range(a.t - 1, -1, -1)]])
     if not np.array_equal(row_space(basis, a.grid.size), a.grid):
         return None
     return int(np.count_nonzero(a.grid[1:], axis=1).min())

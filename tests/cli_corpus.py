@@ -8,7 +8,8 @@ seeded cells (``mutate``), or shuffled, maybe given another header, and
 given one of the text differential's defects (``malform``).  Stdout is kept
 as text, or as its SHA-256 when it is longer than ``INLINE``.  The runs cover the ``witness:`` and
 ``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
-error, the ``--max-cells`` refusals, and malformed and oversized stdin.
+error, the ``--max-cells`` refusals, malformed and oversized stdin, every
+``bounds`` case and refusal, and ``ramp deal`` and ``reconstruct`` runs.
 
 ``tests/test_cli_corpus.py`` replays every entry.  The corpus is rewritten
 only on purpose, by ``PYTHONPATH=src python tests/cli_corpus.py`` from the
@@ -238,6 +239,22 @@ def cases() -> list[dict]:
         add(["--max-cells", cap, "demo", "thm48", "--q", "3", "--t", "3"])
     add(["--max-cells", "5000", "ramp", "audit"],
         {"pipe": [["construct", "aoa-shamir", "--q", "8", "--s", "2", "--t", "3", "--k", "4"]]})
+    # bounds: each case of the Bush bound, proven and conjectured MDS lengths, refusals
+    for t, v in [(2, 5), (2, 2), (3, 4), (3, 5), (4, 4), (5, 3), (6, 2), (1, 3), (3, 1)]:
+        add(["bounds", "bush", "--t", str(t), "--v", str(v)])
+    for t, q in [(2, 7), (3, 8), (31, 32), (6, 49), (5, 5), (6, 32), (8, 49), (1, 5),
+                 (3, 6), (3, 1)]:
+        add(["bounds", "mds-max", "--t", str(t), "--q", str(q)])
+    # ramp deal and reconstruct: bundles, a secret, an inconsistent bundle, refusals
+    shamir = [["construct", "aoa-shamir", "--q", "5", "--s", "1", "--t", "3", "--k", "4"]]
+    example = [["demo", "example-4-3"]]
+    for pipe, secret, seed in [(example, "0,0", "3"), (example, "1,2", "3"), (example, "1,2", "5"),
+                               (example, "2,2", "0"), (shamir, "1,4", "0"), (shamir, "0,0", "7"),
+                               (example, "3,0", "3"), (example, "x", "3")]:
+        add(["ramp", "deal", "--secret", secret, "--seed", seed], {"pipe": pipe})
+    for pipe, shares in [(example, "1:0 2:1 3:2"), (shamir, "1:0 2:1 4:2"),
+                         (shamir, "1:0 2:1 3:2 4:0"), (example, "1:0 2:1")]:
+        add(["ramp", "reconstruct", "--shares", shares], {"pipe": pipe})
     return out
 
 

@@ -5,7 +5,8 @@ in ``oaramp``.
 Each function is the earlier pure-Python version, unchanged in logic: dict
 and ``Counter`` counting over row tuples, the ``itertools.product`` scan for
 the first offending tuple, the two grouping loops of the security audit,
-the reconstruction scan over every rule and the rule pick of dealing.  They
+the reconstruction scan over every rule and the rule pick of dealing;
+``oracle_strong`` is strong ramp security counted from its definition.  They
 read arrays only through ``.rows`` and schemes only through ``.rules`` (its
 (shares, secret) pairs), ``.weights`` and ``.secrets``, and return the
 library's own result types, so a test can require equal results field by
@@ -453,6 +454,25 @@ def audit_security(sch: RampScheme, max_work: int = caps.RULE_VISITS) -> AuditRe
     return AuditReport(ok, weak_ok, perfect_ok, bijection_ok,
                        subsets_checked=subsets,
                        groups_checked=groups, failures=tuple(failures))
+
+
+def oracle_strong(sch: RampScheme) -> bool:
+    """Strong ramp security from its definition (Jackson and Martin 1996):
+    with rules drawn in proportion to their weights, any s+i shares leave
+    every t-s-i digits of the secret uniform, for 0 <= i < t-s."""
+    width = sch.t - sch.s
+    for i in range(width):
+        for players in itertools.combinations(range(sch.n), sch.s + i):
+            for digits in itertools.combinations(range(width), width - i):
+                by_proj: dict[tuple[int, ...], Counter] = defaultdict(Counter)
+                for (shares, secret), w in zip(sch.rules, sch.weights):
+                    proj = tuple(shares[p] for p in players)
+                    by_proj[proj][tuple(secret[d] for d in digits)] += w
+                for per_digits in by_proj.values():
+                    if (len(per_digits) != sch.v ** (width - i)
+                            or len(set(per_digits.values())) != 1):
+                        return False
+    return True
 
 
 def deal(sch: RampScheme, secret, seed: int) -> ShareBundle:

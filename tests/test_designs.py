@@ -196,7 +196,7 @@ def test_verify_mds_agrees_with_oracle():
     for _ in range(15):
         rows = {tuple(rng.randrange(3) for _ in range(4)) for _ in range(9)}
         a = OrthogonalArray(2, 4, 3, sorted(rows))
-        assert verify_mds(a) == (oracles.min_distance(a.rows) >= 3)
+        assert verify_mds(a) == (len(a.rows) == 9 and oracles.min_distance(a.rows) >= 3)
 
 
 def test_degenerate_strength_rejected_upstream():

@@ -1,18 +1,22 @@
-"""``verify_mds`` against the pairwise distance oracle, and its paths.
+"""``verify_mds`` against the MDS oracle, and ``verify_oa``'s two paths.
 
+An array is MDS exactly when it has v^t rows and strength t: v^t rows, any
+two at Hamming distance k-t+1 or more, is the oracle, and ``verify_mds`` is
+``verify_oa(a).ok``.  ``verify_oa`` certifies v^t rows that are a linear code
+over GF(v) of least weight k-t+1 or more, and scans everything else.
 Linear arrays (Reed-Solomon arrays and their column subsets, split Shamir
 arrays, the row spaces of random generators of any rank, so with and without
-duplicate rows) are certified as linear codes and must give the oracle's
-verdict without reaching the coverage scan.  Arrays with more than v^t rows
-are refused before the certificate and the scan.  One-cell corruptions,
-per-column symbol relabellings (distances kept, linearity lost), proper row
-subsets, duplicated rows, one row, alphabets that are not prime powers
-(6, 10, 12) and a prime alphabet above the field order cap go to the scan,
-which must agree with the oracle too, and which is refused before any
-subset is marked when its C(k, t) subsets pass ``caps.SUBSETS``.
+duplicate rows), their one-cell corruptions, per-column symbol relabellings
+(distances kept, linearity lost) and duplicated rows must give the oracle's
+verdict, and ``verify_oa`` must give the scan's own result, witness
+included.  Acceptance criterion 1's arrays never reach the scan.  Proper row
+subsets, one row, more than v^t rows, alphabets that are not prime powers
+(6, 10, 12) and a prime alphabet above the field order cap are never
+certified; the caps come before the certificate and the scan.
 """
 
 import io
+import itertools
 
 import oracles
 import pytest
@@ -23,6 +27,7 @@ from oaramp import caps, designs
 from oaramp.cli import main as cli_main
 from oaramp.designs import (
     OrthogonalArray,
+    VerifyResult,
     aoa_split,
     linear_aoa,
     load_array,
@@ -30,6 +35,7 @@ from oaramp.designs import (
     rs_generator,
     shamir_matrix,
     verify_mds,
+    verify_oa,
 )
 from oaramp.errors import CapExceeded
 from oaramp.gf import ORDER_CAP, field_for_order
@@ -41,8 +47,8 @@ MAX_ROWS = 256  # the oracle compares every pair of rows in Python
 
 
 def mds_by_oracle(a):
-    d = oracles.min_distance(a.rows)
-    return d is None or d >= a.k - a.t + 1
+    return (len(a.rows) == a.expected_rows
+            and oracles.min_distance(a.rows) >= a.k - a.t + 1)
 
 
 def check(a):
@@ -88,8 +94,29 @@ def linear_arrays(draw):
 @given(linear_arrays())
 def test_linear_arrays_match_the_oracle_by_certificate(a):
     check(a)
-    if len(set(a.rows)) == len(a.rows) > 1:
+    if len(set(a.rows)) == len(a.rows) == a.expected_rows:
         assert designs._least_code_weight(a) is not None
+
+
+@SETTINGS
+@given(linear_arrays(), st.data())
+def test_verify_oa_gives_the_scans_result(a, data):
+    """``verify_oa`` gives the coverage scan's result, witness included, on
+    the array as built, with one cell corrupted, with each column's symbols
+    permuted, and with one row in place of another or added."""
+    rows = [list(r) for r in a.rows]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, a.k - 1))
+    corrupted = [list(r) for r in rows]
+    corrupted[i][j] = (rows[i][j] + data.draw(st.integers(1, a.v - 1))) % a.v
+    perms = [data.draw(st.permutations(range(a.v))) for _ in range(a.k)]
+    relabelled = [[p[x] for p, x in zip(perms, row)] for row in rows]
+    other = data.draw(st.integers(0, len(rows) - 1))
+    replaced = [*rows[:other], rows[i], *rows[other + 1:]]
+    variants = [corrupted, relabelled, replaced, [*rows, rows[i]]]
+    for b in [a, *(same_params(a, r) for r in variants)]:
+        subsets = itertools.combinations(range(b.k), b.t)
+        assert verify_oa(b) == designs._coverage_scan(b, [(subsets, (), "column_subset")])
 
 
 @SETTINGS
@@ -152,9 +179,10 @@ def test_alphabets_without_a_field_match_the_oracle(v, data):
 
 
 def test_the_scan_finds_the_least_distance():
-    """An array of least distance d passes at t = k-d+1 and fails at t = k-d:
-    a Reed-Solomon array over GF(5), a product array over Z_6, and the former
-    with one cell corrupted near the start, inside and at the last row."""
+    """An array passes at t exactly when it has v^t rows at least distance
+    k-t+1 apart: a Reed-Solomon array over GF(5), a product array over Z_6,
+    and the former with one cell corrupted near the start, inside and at the
+    last row, at every t."""
     base = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
     arrays = [base, OrthogonalArray(2, 3, 6, [[x, y, (x * y) % 6] for x in range(6)
                                               for y in range(6)])]
@@ -162,10 +190,13 @@ def test_the_scan_finds_the_least_distance():
         rows = [list(r) for r in base.rows]
         rows[i][i % base.k] = (rows[i][i % base.k] + 1) % 5
         arrays.append(same_params(base, rows))
+    verdicts = []
     for a in arrays:
-        d = oracles.min_distance(a.rows)
-        assert verify_mds(OrthogonalArray(a.k - d + 1, a.k, a.v, a.grid))
-        assert not verify_mds(OrthogonalArray(a.k - d, a.k, a.v, a.grid))
+        for t in range(1, a.k + 1):
+            b = OrthogonalArray(t, a.k, a.v, a.grid)
+            check(b)
+            verdicts.append(verify_mds(b))
+    assert verdicts.count(True) == 1  # the Reed-Solomon array at t = 2
 
 
 def _fail(*args):
@@ -184,7 +215,8 @@ def test_linear_arrays_never_reach_the_scan(monkeypatch):
     monkeypatch.setattr(designs, "_first_repeat", _fail)
     cases = [(q, t) for q in (2, 3, 4, 5, 7, 8, 9) for t in range(2, min(q, 4) + 1)]
     for q, t in [*cases, (16, 2)]:
-        assert verify_mds(_construct(q, t)), (q, t)
+        a = _construct(q, t)
+        assert verify_oa(a) == VerifyResult(True) and verify_mds(a), (q, t)
 
 
 def test_the_subset_cap_is_checked_before_any_scan(monkeypatch):
@@ -193,14 +225,19 @@ def test_the_subset_cap_is_checked_before_any_scan(monkeypatch):
     rows[4][1] = (rows[4][1] + 1) % 3
     corrupted = same_params(linear, rows)  # 4 columns: C(4, 2) = 6 subsets
     monkeypatch.setattr(designs, "_first_repeat", _fail)
+    monkeypatch.setattr(designs, "_least_code_weight", _fail)
     monkeypatch.setattr(caps, "SUBSETS", 5)
-    with pytest.raises(CapExceeded, match="^verification needs 6 column subsets, cap is 5$"):
-        verify_mds(corrupted)
-    monkeypatch.setattr(caps, "SUBSETS", 0)
-    assert verify_mds(linear)  # a linear code is certified whatever the cap
+    for a in (corrupted, linear):  # before the certificate too
+        with pytest.raises(CapExceeded, match="^verification needs 6 column subsets, cap is 5$"):
+            verify_mds(a)
     monkeypatch.undo()
     monkeypatch.setattr(caps, "SUBSETS", 6)
-    assert not verify_mds(corrupted)
+    assert verify_mds(linear) and not verify_mds(corrupted)
+    monkeypatch.undo()
+    repetition = OrthogonalArray(1, caps.SUBSETS + 1, 2, [[0] * (caps.SUBSETS + 1),
+                                                          [1] * (caps.SUBSETS + 1)])
+    with pytest.raises(CapExceeded, match="^verification needs 100001 column subsets"):
+        verify_mds(repetition)  # MDS, but strength 1 escapes the Bush bound
 
 
 def test_a_prime_alphabet_above_the_field_cap_is_scanned(monkeypatch):
@@ -222,8 +259,8 @@ def test_a_prime_alphabet_above_the_field_cap_is_scanned(monkeypatch):
 @SETTINGS
 @given(linear_arrays(), st.data())
 def test_proper_row_subsets_match_the_oracle(a, data):
-    """Fewer than v^t rows of a linear array: seldom a linear code, so
-    scanned, and mostly MDS still."""
+    """Fewer than v^t rows of a linear array: never MDS, and refused on the
+    row count."""
     n = data.draw(st.integers(1, min(len(a.grid), a.expected_rows) - 1))
     order = data.draw(st.permutations(range(len(a.grid))))
     check(same_params(a, a.grid[sorted(order[:n])]))
