@@ -139,8 +139,8 @@ def _stdin_array(stdin: TextIO, cap: int, use):
     end = text.find("\n")
     if end < 0 and len(text) < _PIECE:
         end = len(text)  # the whole input is one line
-    last, pieces = text, [text[end + 1:]]
-    chars, counted, cells, inside = len(pieces[0]), 0, 0, False
+    last, pieces = text, [text]  # the body starts at end + 1 of the first piece
+    chars, counted, cells, inside = max(len(text) - end - 1, 0), 0, 0, False
     if end >= 0 and (len(text) == _PIECE or chars >= 2 * cap):
         try:
             header = designs.load_array(text[:end])
@@ -150,7 +150,7 @@ def _stdin_array(stdin: TextIO, cap: int, use):
             pass
     while True:
         for part in pieces[counted:] if chars >= 2 * cap else ():
-            data = np.frombuffer(part.encode(), dtype=np.uint8)
+            data = np.frombuffer(part[0 if counted else end + 1:].encode(), dtype=np.uint8)
             symbol = np.concatenate(([inside], (data > 32) & (data != 44)))
             cells += int(np.count_nonzero(symbol[1:] > symbol[:-1]))
             inside, counted = bool(symbol[-1]), counted + 1
@@ -160,8 +160,7 @@ def _stdin_array(stdin: TextIO, cap: int, use):
         last = stdin.read(_PIECE)
         pieces.append(last)
         chars += len(last)
-    if len(pieces) > 1:
-        text = "".join([text[:end + 1], *pieces])
+    text = "".join(pieces)  # the first piece itself when it is the only one
     if not text or text.isspace():
         raise ValueError("expected an array on standard input")
     a = designs.load_array(text)

@@ -15,6 +15,7 @@ size caps; nonexistence is certified by bound arithmetic only, never search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -269,28 +270,70 @@ def _ranks(grid: np.ndarray, cols: Sequence[int], v: int) -> tuple[np.ndarray, n
     return grid[row[held]][:, cols], (np.cumsum(held) - 1)[ids]
 
 
-def _coverage_scan(a: OrthogonalArray | AugmentedOA, checks) -> VerifyResult:
-    """The row count, then the first failing subset ``_first_repeat`` finds
-    among ``checks``."""
-    if len(a.grid) != a.expected_rows:
-        return VerifyResult(False, Witness(
-            "row_count", count=len(a.grid), expected=a.expected_rows))
-    witness = _first_repeat(a, checks)
+# Key visits (rows x subsets scanned) from which ``_verify`` tries the certificate:
+# below it, building GF(v) and testing linearity cost more than the scan.
+_CERTIFY_VISITS = 2**15
+
+
+def _verify(a: OrthogonalArray | AugmentedOA, checks, mixed: int = 0) -> VerifyResult:
+    """The row count, then each check (n, m, tail, kind) of ``checks``: any m
+    of the first n columns and the last ``tail`` (m + tail = t) hold each
+    tuple once.  With ``mixed`` = d, subsets holding none or all of the last
+    d of the n are known to pass and not scanned.  On a linear code, t
+    columns hold each tuple once exactly when no nonzero codeword is zero on
+    them all: when each one zero on the tail weighs n-m+1 or more on the
+    first n (MacWilliams and Sloane, ch. 11).  ``_certified`` tries that rule
+    from ``_CERTIFY_VISITS`` key visits on; ``_first_repeat`` scans the rest."""
+    (rows, width), scans, subsets = a.grid.shape, [], 0
+    if rows != a.expected_rows:
+        return VerifyResult(False, Witness("row_count", count=rows, expected=a.expected_rows))
+    for n, m, tail, kind in checks:
+        cols = itertools.combinations(range(n), m)
+        subsets += math.comb(n, m)
+        if mixed:
+            cols = (c for c in cols if c[-1] >= n - mixed > c[m - mixed])
+            subsets -= math.comb(n - mixed, m) + math.comb(n - mixed, m - mixed)
+        scans.append((cols, tuple(range(width - tail, width)), kind))
+    if not subsets or rows * subsets >= _CERTIFY_VISITS and _certified(a, checks):
+        return VerifyResult(True)
+    witness = _first_repeat(a, scans)
     return VerifyResult(witness is None, witness)
+
+
+def _certified(a: OrthogonalArray | AugmentedOA, checks) -> bool:
+    """Whether the v^t-row grid is a linear code over GF(v), v a prime power
+    within the field order cap, whose rows u >= 1 pass ``_verify``'s rule.
+    In canonical order a linear code lists u B as row u, for its reduced
+    echelon basis B and u read in base v (B's pivot columns carry u's
+    digits), so the grid is one exactly when rows c v^e + r are rows r plus
+    c times row v^e, for e < t, 0 < c < v and r < v^e: compared v^e rows at
+    a time.  A duplicate row leaves some row u >= 1 zero, of weight 0."""
+    v, grid = a.v, a.grid
+    if v > ORDER_CAP or factor_prime_power(v) is None:
+        return False
+    field, width = field_for_order(v), grid.shape[1]
+    for step in (v**e for e in range(a.t)):
+        per = max(1, 2**14 // (step * width))  # multiples c of row v^e per block
+        for c in range(1, v, per):
+            mult = np.arange(c, min(c + per, v))[:, None, None]
+            block = field._add_arrays(grid[:step], field._mul_arrays(mult, grid[step]))
+            if not np.array_equal(grid[c * step:(c + len(mult)) * step], block.reshape(-1, width)):
+                return False
+    nonzero = grid[1:] != 0
+    return all((np.count_nonzero(nonzero[:, :n], axis=1)[~nonzero[:, width - tail:].any(axis=1)]
+                > n - m).all() for n, m, tail, _ in checks)
 
 
 def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> Witness | None:
     """The witness of the first (cols, tail, kind) of ``checks``, each one's
     subsets in the order given, whose columns cols + tail hold a tuple in two
-    rows of ``a``; or None.  ``a`` has v^t rows: a projection's base-v
-    keys lie below v^t and are marked in one reused buffer of v^t cells, and a
-    tuple repeats exactly when fewer keys are marked than there are rows.  A
-    subset's key is its last column after the key of its leading columns and
-    the tail, which is built once per run of subsets sharing leading columns.
-    Only a failing subset's keys are counted, with their last digit moved back
-    before the tail's: the first count other than one is then the smallest
-    offending tuple over cols + tail, the first offender in canonical scan order.
-    """
+    of ``a``'s v^t rows; or None.  Keys lie below v^t and are marked in one
+    reused buffer: a tuple repeats exactly when fewer are marked than there
+    are rows.  A subset's key is its last column after the key of its leading
+    columns and the tail, built once per run of subsets sharing them.  Only a
+    failing subset's keys are counted, their last digit moved back before the
+    tail's, so its first count other than one is the smallest offending tuple
+    over cols + tail, the first offender in canonical scan order."""
     size = a.expected_rows
     columns = a.grid.T.astype(np.int32 if size < 2**31 else np.int64, order="C")
     key = np.empty(len(a.grid), dtype=np.intp)  # numpy indexes fastest by intp
@@ -312,56 +355,21 @@ def _first_repeat(a: OrthogonalArray | AugmentedOA, checks) -> Witness | None:
 
 
 def verify_oa(a: OrthogonalArray, max_cells: int = caps.CELLS) -> VerifyResult:
-    """Exhaustively check the strength-t coverage property.
-
-    Every t-subset of columns (ascending order) must contain each t-tuple
-    over [0, v-1] exactly once; the first failure, by subset order and then
-    by tuple order, becomes the witness.  After the caps, v^t rows that are
-    a linear code over GF(v) whose least nonzero weight, its least distance,
-    is k-t+1 or more pass at once: two codewords that agree on some t columns
-    differ in at most k-t, so every t columns hold v^t distinct tuples
-    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 11).
-    Every other array, duplicate rows included (their least weight is 0), is
-    scanned for its witness.
-    """
+    """Exhaustively check the strength-t coverage property, ``_verify``'s
+    check (k, t, 0): every t-subset of columns (ascending order) contains
+    each t-tuple over [0, v-1] exactly once, so a linear code passes when its
+    least nonzero weight is k-t+1 or more.  The first failure, by subset
+    order and then by tuple order, becomes the witness."""
     caps.check_verify(a.v, a.t, a.k, a.k, [a.t], max_cells)
-    if len(a.grid) == a.expected_rows:
-        weight = _least_code_weight(a)
-        if weight is not None and weight >= a.k - a.t + 1:
-            return VerifyResult(True)
-    return _coverage_scan(a, [(itertools.combinations(range(a.k), a.t), (), "column_subset")])
+    return _verify(a, [(a.k, a.t, 0, "column_subset")])
 
 
 def verify_mds(a: OrthogonalArray) -> bool:
     """Check that ``a`` is an MDS code: v^t rows, any two at Hamming distance
     k - t + 1 or more (the Singleton bound's most).  Two rows closer than
-    that agree on some t columns, so with v^t rows this is strength t and
-    index 1, which ``verify_oa`` decides (Hedayat, Sloane and Stufken,
-    Orthogonal Arrays, ch. 4): linear codes by certificate, all else by scan.
-    """
+    that agree on some t columns, so this is ``verify_oa``'s question, and
+    on a linear code its one rule: least nonzero weight k-t+1 or more."""
     return verify_oa(a).ok
-
-
-def _least_code_weight(a: OrthogonalArray) -> int | None:
-    """The least weight among rows 1.. of the v^t-row grid if it is a linear
-    code over GF(v), v a prime power within the field order cap; else None.
-
-    A linear code of dimension t has v^t codewords, and its codeword u B,
-    for the reduced echelon basis B, is the u-th in canonical order, reading
-    u in base v: the pivot columns of B carry u's digits, and each column
-    before a pivot depends only on the digits before it.  So rows v^(t-1),
-    ..., v, 1 of the grid are B, and the grid is that code exactly when it
-    equals the row space of those rows, which ``row_space`` lists in the
-    same order.  With no duplicate rows, row 0 alone is zero; with
-    duplicates, row 1 is zero too and the least weight, 0, is their distance.
-    """
-    v = a.v
-    if v > ORDER_CAP or factor_prime_power(v) is None:
-        return None
-    basis = Matrix(field_for_order(v), a.grid[[v**e for e in range(a.t - 1, -1, -1)]])
-    if not np.array_equal(row_space(basis, a.grid.size), a.grid):
-        return None
-    return int(np.count_nonzero(a.grid[1:], axis=1).min())
 
 
 def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:
@@ -370,13 +378,12 @@ def verify_aoa(a: AugmentedOA, max_cells: int = caps.CELLS) -> VerifyResult:
     (i) the k plain columns form an OA of strength t; (ii) every s-subset of
     plain columns, joined with the augmented column, contains each element of
     X^s x Y exactly once.  For s = 0, (ii) says the augmented column is a
-    bijection onto Y.  Condition (ii) is strength-t coverage on the s plain
-    columns plus the t-s augmented digit columns, so both use one check.
-    """
+    bijection onto Y.  They are ``_verify``'s checks (k, t, 0) and
+    (k, s, t-s): on a linear code, (ii) says each nonzero codeword with zero
+    augmented digits weighs k-s+1 or more on the plain columns."""
     caps.check_verify(a.v, a.t, a.k + 1, a.k, [a.t, a.s], max_cells)
-    aug = tuple(range(a.k, a.k + a.aug_width))
-    return _coverage_scan(a, [(itertools.combinations(range(a.k), a.t), (), "column_subset"),
-                              (itertools.combinations(range(a.k), a.s), aug, "augmented_subset")])
+    return _verify(a, [(a.k, a.t, 0, "column_subset"),
+                       (a.k, a.s, a.aug_width, "augmented_subset")])
 
 
 def _require(res: VerifyResult, kind: str) -> None:
@@ -557,26 +564,20 @@ def _column_dependency(a: OrthogonalArray, cols: tuple[int, ...]) -> ColumnDepen
 
 def aoa_split(a: AugmentedOA, max_cells: int = caps.CELLS) -> SplitResult:
     """Expand the augmented tuples of a verified AOA into t-s plain columns
-    and test the result at strength t.
+    and test the result at strength t, ``_verify``'s check (k+t-s, t, 0).
 
     Failure is a legitimate outcome: the expanded array need not be an
     OA(t, k+t-s, v), and when it is not, the witness subset is searched for a
     linear dependency among its columns as an explanation.
 
     AOA conditions (i) and (ii) cover the expanded t-subsets with no augmented
-    digit column and with all t-s of them, so once ``verify_aoa`` passes only
-    the rest are scanned, in ``verify_oa``'s order: none when s = t-1.
-    """
+    digit column and with all t-s of them, so only the rest are scanned, in
+    ``verify_oa``'s order: none when s = t-1."""
     _require(verify_aoa(a, max_cells), "AOA")
     wide = OrthogonalArray._sharing(a.grid, a.t, a.k + a.aug_width, a.v)
     caps.check_verify(wide.v, wide.t, wide.k, wide.k, [wide.t], max_cells)
-    mixed = (cols for cols in itertools.combinations(range(wide.k), a.t)
-             if cols[-1] >= a.k > cols[a.s])  # a digit column, and s+1 plain ones
-    res = (_coverage_scan(wide, [(mixed, (), "column_subset")]) if a.aug_width > 1
-           else VerifyResult(True))
-    dep = None
-    if not res.ok and res.witness.kind == "column_subset":
-        dep = _column_dependency(wide, res.witness.columns)
+    res = _verify(wide, [(wide.k, a.t, 0, "column_subset")], mixed=a.aug_width)
+    dep = None if res.ok else _column_dependency(wide, res.witness.columns)
     return SplitResult(wide, res, dep)
 
 

@@ -8,8 +8,9 @@ seeded cells (``mutate``), or shuffled, maybe given another header, and
 given one of the text differential's defects (``malform``).  Stdout is kept
 as text, or as its SHA-256 when it is longer than ``INLINE``.  The runs cover the ``witness:`` and
 ``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
-error, the ``--max-cells`` refusals, malformed and oversized stdin, every
-``bounds`` case and refusal, and ``ramp deal`` and ``reconstruct`` runs.
+error, the ``--max-cells`` refusals, the other ``construct`` refusals,
+malformed and oversized stdin, every ``bounds`` case and refusal, and
+``ramp deal`` and ``reconstruct`` runs.
 
 ``tests/test_cli_corpus.py`` replays every entry.  The corpus is rewritten
 only on purpose, by ``PYTHONPATH=src python tests/cli_corpus.py`` from the
@@ -255,6 +256,29 @@ def cases() -> list[dict]:
     for pipe, shares in [(example, "1:0 2:1 3:2"), (shamir, "1:0 2:1 4:2"),
                          (shamir, "1:0 2:1 3:2 4:0"), (example, "1:0 2:1")]:
         add(["ramp", "reconstruct", "--shares", shares], {"pipe": pipe})
+    # construct refusals outside --max-cells: the field flags, then each builder's ranges
+    builders = [["oa-rs", "--t", "2"], ["aoa-shamir", "--s", "1", "--t", "2", "--k", "3"],
+                ["aoa-dual", "--s", "1", "--t", "3"]]
+    for field in (["--q", "6"], ["--q", "10"], ["--q", "1"], ["--q", "0"], ["--q", "65537"],
+                  ["--q", "131072"], ["--q", str(10**30)], ["--p", "257", "--j", "2"],
+                  ["--p", "2", "--j", "17"], ["--p", "65537"], ["--p", "4"], ["--p", "1"],
+                  ["--p", "2", "--j", "0"], ["--p", "3", "--j", "-1"], []):
+        for builder in builders:
+            add(["construct", builder[0], *field, *builder[1:]])
+    for flags in (["oa-rs", "--q", "5", "--t", t] for t in ("1", "0", "-2", "6")):
+        add(["construct", *flags])
+    for s, t, k in [("0", "2", "3"), ("2", "2", "3"), ("-1", "2", "3"), ("1", "4", "3"),
+                    ("1", "2", "6"), ("1", "2", "1")]:
+        add(["construct", "aoa-shamir", "--q", "5", "--s", s, "--t", t, "--k", k])
+    for q, s, t in [("5", "-1", "3"), ("5", "3", "3"), ("5", "4", "3"), ("5", "1", "7"),
+                    ("5", "2", "3"), ("3", "0", "4")]:
+        add(["construct", "aoa-dual", "--q", q, "--s", s, "--t", t])
+    for s, pipe in [("1", example), ("2", [_oa_rs("3", "2")]), ("-1", [_oa_rs("3", "2")]),
+                    ("0", [_oa_rs("3", "3")]), ("1", [_oa_rs("5", "3")])]:
+        add(["construct", "aoa-merge", "--s", s], {"pipe": pipe})
+    for q in ("4", "8"):  # OA(3,9,8) is past the certificate's key-visit limit
+        for stdin in _mutations([_oa_rs(q, "3")], (0,)):
+            add(["construct", "aoa-merge", "--s", "1"], stdin)
     return out
 
 

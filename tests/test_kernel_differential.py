@@ -50,6 +50,7 @@ from oaramp.designs import (
     verify_oa,
 )
 from oaramp.gf import field_for_order
+from oaramp.linalg import Matrix, row_space
 from oaramp.ramp import (
     RampScheme,
     ShareBundle,
@@ -301,30 +302,46 @@ def relabelled(a, seed):
     return AugmentedOA(a.s, a.t, a.k, a.v, grid)
 
 
+def is_linear_code(a):
+    """Whether the grid is the row space of rows v^(t-1), ..., v, 1, its
+    positional basis, over GF(v)."""
+    if oracles.factor_prime_power(a.v) is None:
+        return False
+    basis = Matrix(field_for_order(a.v), a.grid[[a.v**e for e in reversed(range(a.t))]])
+    return np.array_equal(row_space(basis), a.grid)
+
+
 @pytest.mark.parametrize("seed", [None, 1, 2])
 @pytest.mark.parametrize("a", SPLIT_CASES, ids=repr)
 def test_split_scans_only_the_mixed_subsets_and_matches_a_full_scan(a, seed):
+    """The split scans only the mixed subsets, none when s = t-1, unless it
+    certifies a linear code from the key-visit limit on, which it does at the
+    real limit and with the limit at 0.  Relabelled arrays are mostly no
+    linear code, and are scanned."""
     if seed is not None:
         a = relabelled(a, seed)
     assert verify_aoa(a).ok
-    wide_scans = []
-    scan = oaramp.designs._coverage_scan
-
-    def recorded(array, checks):
-        if isinstance(array, OrthogonalArray):
-            checks = [(list(subsets), tail, kind) for subsets, tail, kind in checks]
-            wide_scans.append([cols for subsets, _, _ in checks for cols in subsets])
-        return scan(array, checks)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oaramp.designs, "_coverage_scan", recorded)
-        got = aoa_split(a)
-    assert got == split_by_full_scan(a)
-    plain((got.result, got.dependency))
     mixed = [cols for cols in itertools.combinations(range(a.k + a.aug_width), a.t)
              if 0 < sum(c >= a.k for c in cols) < a.aug_width]
-    # for s = t-1 there are none, and the coverage kernel is not reached
-    assert wide_scans == ([mixed] if mixed else [])
+    scan = oaramp.designs._first_repeat
+    for limit in (oaramp.designs._CERTIFY_VISITS, 0):
+        wide_scans = []
+
+        def recorded(array, checks):
+            if isinstance(array, OrthogonalArray):
+                checks = [(list(subsets), tail, kind) for subsets, tail, kind in checks]
+                wide_scans.append([cols for subsets, _, _ in checks for cols in subsets])
+            return scan(array, checks)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oaramp.designs, "_first_repeat", recorded)
+            mp.setattr(oaramp.designs, "_CERTIFY_VISITS", limit)
+            got = aoa_split(a)
+        assert got == split_by_full_scan(a)
+        plain((got.result, got.dependency))
+        certified = got.ok and is_linear_code(a) and len(a.grid) * len(mixed) >= limit
+        # for s = t-1 there are none, and the coverage kernel is not reached
+        assert wide_scans == ([mixed] if mixed and not certified else [])
 
 
 # (array, corruptions drawn): OAs, then AOAs with s = 0, 1 and 2

@@ -2,14 +2,16 @@
 
 An array is MDS exactly when it has v^t rows and strength t: v^t rows, any
 two at Hamming distance k-t+1 or more, is the oracle, and ``verify_mds`` is
-``verify_oa(a).ok``.  ``verify_oa`` certifies v^t rows that are a linear code
-over GF(v) of least weight k-t+1 or more, and scans everything else.
+``verify_oa(a).ok``.  From ``designs._CERTIFY_VISITS`` key visits on,
+``verify_oa`` certifies v^t rows that are a linear code over GF(v) of least
+weight k-t+1 or more, and it scans everything else.
 Linear arrays (Reed-Solomon arrays and their column subsets, split Shamir
 arrays, the row spaces of random generators of any rank, so with and without
 duplicate rows), their one-cell corruptions, per-column symbol relabellings
 (distances kept, linearity lost) and duplicated rows must give the oracle's
 verdict, and ``verify_oa`` must give the scan's own result, witness
-included.  Acceptance criterion 1's arrays never reach the scan.  Proper row
+included, at that limit and with the limit at 0.  Acceptance criterion 1's
+arrays never reach the scan from the limit on.  Proper row
 subsets, one row, more than v^t rows, alphabets that are not prime powers
 (6, 10, 12) and a prime alphabet above the field order cap are never
 certified; the caps come before the certificate and the scan.
@@ -17,6 +19,7 @@ certified; the caps come before the certificate and the scan.
 
 import io
 import itertools
+import math
 
 import oracles
 import pytest
@@ -53,6 +56,24 @@ def mds_by_oracle(a):
 
 def check(a):
     assert verify_mds(a) == mds_by_oracle(a)
+
+
+OA_CHECK = "column_subset"
+
+
+def strength(a):
+    """``verify_oa``'s one check, as ``designs._verify`` and ``_certified`` take it."""
+    return [(a.k, a.t, 0, OA_CHECK)]
+
+
+def scanned(a):
+    """``verify_oa`` by the row count and the scan alone."""
+    if len(a.grid) != a.expected_rows:
+        return VerifyResult(False, designs.Witness(
+            "row_count", count=len(a.grid), expected=a.expected_rows))
+    subsets = itertools.combinations(range(a.k), a.t)
+    witness = designs._first_repeat(a, [(subsets, (), OA_CHECK)])
+    return VerifyResult(witness is None, witness)
 
 
 def same_params(a, rows):
@@ -93,9 +114,11 @@ def linear_arrays(draw):
 @SETTINGS
 @given(linear_arrays())
 def test_linear_arrays_match_the_oracle_by_certificate(a):
+    """Every linear array of v^t rows, duplicates included, is decided by the
+    certificate alone: it passes exactly the MDS arrays."""
     check(a)
-    if len(set(a.rows)) == len(a.rows) == a.expected_rows:
-        assert designs._least_code_weight(a) is not None
+    if len(a.rows) == a.expected_rows:
+        assert designs._certified(a, strength(a)) == mds_by_oracle(a)
 
 
 @SETTINGS
@@ -103,7 +126,9 @@ def test_linear_arrays_match_the_oracle_by_certificate(a):
 def test_verify_oa_gives_the_scans_result(a, data):
     """``verify_oa`` gives the coverage scan's result, witness included, on
     the array as built, with one cell corrupted, with each column's symbols
-    permuted, and with one row in place of another or added."""
+    permuted, and with one row in place of another or added; at the
+    certificate's key-visit limit, and with the limit at 0 so that small
+    arrays try the certificate too."""
     rows = [list(r) for r in a.rows]
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, a.k - 1))
@@ -114,9 +139,11 @@ def test_verify_oa_gives_the_scans_result(a, data):
     other = data.draw(st.integers(0, len(rows) - 1))
     replaced = [*rows[:other], rows[i], *rows[other + 1:]]
     variants = [corrupted, relabelled, replaced, [*rows, rows[i]]]
-    for b in [a, *(same_params(a, r) for r in variants)]:
-        subsets = itertools.combinations(range(b.k), b.t)
-        assert verify_oa(b) == designs._coverage_scan(b, [(subsets, (), "column_subset")])
+    for limit in (designs._CERTIFY_VISITS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(designs, "_CERTIFY_VISITS", limit)
+            for b in [a, *(same_params(a, r) for r in variants)]:
+                assert verify_oa(b) == scanned(b)
 
 
 @SETTINGS
@@ -147,8 +174,8 @@ def test_a_shifted_column_leaves_no_linear_code():
     the code's, and the scan finds them."""
     a = oa_from_generator(rs_generator(field_for_order(5), 2), 2)
     b = same_params(a, [[(row[0] + 1) % 5, *row[1:]] for row in a.rows])
-    assert designs._least_code_weight(a) == 5
-    assert designs._least_code_weight(b) is None
+    assert designs._certified(a, strength(a))
+    assert not designs._certified(b, strength(b))
     assert verify_mds(b) and mds_by_oracle(b)
 
 
@@ -211,12 +238,25 @@ def _construct(q, t):
 
 
 def test_linear_arrays_never_reach_the_scan(monkeypatch):
-    """Acceptance criterion 1's arrays and the benchmark's OA(2,17,16)."""
-    monkeypatch.setattr(designs, "_first_repeat", _fail)
+    """Acceptance criterion 1's arrays and the benchmark's OA(2,17,16): from
+    the key-visit limit on they are certified and never scanned, and below
+    it they are scanned; with the limit at 0, every one is certified."""
     cases = [(q, t) for q in (2, 3, 4, 5, 7, 8, 9) for t in range(2, min(q, 4) + 1)]
-    for q, t in [*cases, (16, 2)]:
-        a = _construct(q, t)
-        assert verify_oa(a) == VerifyResult(True) and verify_mds(a), (q, t)
+    arrays = [_construct(q, t) for q, t in [*cases, (16, 2)]]
+    scans = []
+    scan = designs._first_repeat
+    monkeypatch.setattr(designs, "_first_repeat",
+                        lambda b, checks: scans.append(b) or scan(b, checks))
+    for a in arrays:
+        scans.clear()
+        assert verify_oa(a) == VerifyResult(True) and verify_mds(a), a
+        below = len(a.grid) * math.comb(a.k, a.t) < designs._CERTIFY_VISITS
+        assert scans == ([a, a] if below else []), a
+    assert len(arrays[-1].grid) * math.comb(17, 2) >= designs._CERTIFY_VISITS  # OA(2,17,16)
+    monkeypatch.setattr(designs, "_first_repeat", _fail)
+    monkeypatch.setattr(designs, "_CERTIFY_VISITS", 0)
+    for a in arrays:
+        assert verify_oa(a) == VerifyResult(True) and verify_mds(a), a
 
 
 def test_the_subset_cap_is_checked_before_any_scan(monkeypatch):
@@ -225,7 +265,7 @@ def test_the_subset_cap_is_checked_before_any_scan(monkeypatch):
     rows[4][1] = (rows[4][1] + 1) % 3
     corrupted = same_params(linear, rows)  # 4 columns: C(4, 2) = 6 subsets
     monkeypatch.setattr(designs, "_first_repeat", _fail)
-    monkeypatch.setattr(designs, "_least_code_weight", _fail)
+    monkeypatch.setattr(designs, "_certified", _fail)
     monkeypatch.setattr(caps, "SUBSETS", 5)
     for a in (corrupted, linear):  # before the certificate too
         with pytest.raises(CapExceeded, match="^verification needs 6 column subsets, cap is 5$"):
@@ -272,6 +312,6 @@ def test_proper_row_subsets_match_the_oracle(a, data):
 ])
 def test_more_than_v_to_the_t_rows_are_refused_at_once(monkeypatch, rows):
     """v^t + 1 rows, or many more, repeat a tuple on every t columns."""
-    monkeypatch.setattr(designs, "_least_code_weight", _fail)
+    monkeypatch.setattr(designs, "_certified", _fail)
     monkeypatch.setattr(designs, "_first_repeat", _fail)
     assert not verify_mds(OrthogonalArray(2, 3, 2, rows))
