@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -779,55 +780,17 @@ def dump_array(a: OrthogonalArray | AugmentedOA) -> str:
     return "".join(out)
 
 
-# Longest symbol the whole-text reader takes: 18 digits always fit int64.
+# Longest symbol the whole-array pass takes: 18 digits always fit int64.
 _MAX_DIGITS = 18
 # Cells read per step by ``load_array``, at most: bounds its temporaries.
 _LOAD_CELLS = 2**13
 
 
-def _read_dumped(text: str, start: int, k: int, aug_width: int) -> np.ndarray | None:
-    """The rows of ``text[start:]`` as an int64 grid if they are laid out
-    exactly as ``dump_array`` writes rows of k plain symbols and an
-    ``aug_width``-tuple (the final newline may be missing), every symbol 1
-    to 18 ASCII digits; else None.  ``text`` is ASCII.
-
-    The rows are read in chunks of whole lines, each one window of
-    2 * ``_LOAD_CELLS`` characters (a cell takes two at least) cut back to
-    its last newline, or one longer line.  Each chunk is checked as
-    ``_read_chunk`` would check the whole text, which it passes exactly when
-    every chunk does.  One chunk is the grid; later ones are written into
-    one grid of a row per line, allocated once the first chunk has passed
-    and the text is long enough for its rows."""
-    width = k + aug_width
-    if not width or start >= len(text):
-        return None
-    window = 2 * _LOAD_CELLS
-    grid, row = None, 0
-    while start < len(text):
-        end = len(text)
-        if end - start > window:
-            end = text.rfind("\n", start, start + window) + 1
-            if not end:  # a line longer than the window
-                end = text.find("\n", start + window) + 1 or len(text)
-        values = _read_chunk(text[start:end], k, aug_width)
-        if values is None:
-            return None
-        if grid is None:
-            if end == len(text):
-                return values
-            unended = not text.endswith("\n")
-            rows = text.count("\n", start) + unended
-            if 2 * rows * width > len(text) - start + unended:
-                return None  # too short for that many rows of width cells
-            grid = np.empty((rows, width), dtype=np.int64)
-        grid[row:row + len(values)] = values
-        row += len(values)
-        start = end
-    return grid
-
-
 def _read_chunk(body: str, k: int, aug_width: int) -> np.ndarray | None:
-    """``_read_dumped`` of whole lines ``body`` in whole-text passes.
+    """The rows of whole lines ``body`` as an int64 grid if they are laid
+    out exactly as ``dump_array`` writes rows of k plain symbols and an
+    ``aug_width``-tuple (the final newline may be missing), every symbol 1
+    to 18 digits; else None.  ``body`` is ASCII.
 
     Every non-digit byte ends a symbol, and these bytes, one row of the
     separator pattern per text row, are compared with the pattern in one
@@ -859,58 +822,92 @@ def _read_chunk(body: str, k: int, aug_width: int) -> np.ndarray | None:
     return values.reshape(-1, width)
 
 
+def _read_lines(body: str, k: int, aug_width: int | None) -> list[list[int]]:
+    """The rows of whole lines ``body``, one ``int()`` per token, blank lines
+    skipped: an OA's (``aug_width`` None) of any length, an AOA's checked
+    line by line as k symbols and an ``aug_width``-tuple."""
+    if aug_width is None:
+        return [row for row in (list(map(int, ln.split())) for ln in body.splitlines()) if row]
+    rows = []
+    for ln in body.splitlines():
+        parts = ln.split()
+        if not parts:
+            continue
+        if len(parts) != k + 1:
+            raise ValueError(f"row {ln.strip()!r} does not have {k} symbols plus an augmented field")
+        field = parts.pop()
+        aug = list(map(int, field.split(",")))
+        if len(aug) != aug_width:
+            raise ValueError(f"augmented field {field!r} is not a {aug_width}-tuple")
+        rows.append(list(map(int, parts)) + aug)
+    return rows
+
+
 def load_array(text: str) -> OrthogonalArray | AugmentedOA:
     """Parse either array format; rows may be in any order and are canonicalized.
 
-    Text laid out exactly as ``dump_array`` writes it, with symbols of at
-    most 18 digits, is read in chunks of whole-array passes by
-    ``_read_dumped``, and rows already in canonical order are kept as read,
-    with no sort.  Any other text is read line by line, one ``int()`` per
-    token, and gives the same array or the same error: the fast path takes
-    only text on which the two agree.
+    The header is the first non-blank line.  The body is cut into chunks of
+    whole lines, each one window of 2 * ``_LOAD_CELLS`` characters (a cell
+    takes two at least) cut back to its last newline, or one longer line.
+    A chunk laid out as ``dump_array`` writes it, symbols of at most 18
+    digits, is read by ``_read_chunk``; any other by ``_read_lines``, which
+    gives the same rows or error.  Rows go into one int64 grid, sized by
+    the newlines left once the first rows of the header's width come, and
+    grown if other line ends outnumber them.  Canonical rows are not sorted.
+
+    Errors come in the line loop's order: a malformed line first, then the
+    constructor's checks on the header, the first row of the wrong length,
+    a symbol past int64 and one out of range.  Rows after a chunk that the
+    constructor rejects are still read, for their errors, but not kept.
     """
-    end = text.find("\n")
-    head, start = (text, len(text)) if end < 0 else (text[:end], end + 1)
-    kind, *numbers = head.split(" ")
-    if text.isascii() and all(x.isdigit() for x in numbers):
-        if kind == "OA" and len(numbers) == 3:
-            t, k, v = map(int, numbers)
-            grid = _read_dumped(text, start, k, 0)
-            if grid is not None:
-                return OrthogonalArray._adopting(grid, t, k, v)
-        elif kind == "AOA" and len(numbers) == 4:
-            s, t, k, v = map(int, numbers)
-            grid = _read_dumped(text, start, k, t - s) if s < t else None
-            if grid is not None:
-                return AugmentedOA._adopting(grid, s, t, k, v)
-    return _load_lines(text)
-
-
-def _load_lines(text: str) -> OrthogonalArray | AugmentedOA:
-    """``load_array`` for any layout: rows of Python ints, which the array
-    constructor checks as it checks any other rows."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
+    # from the first non-space character to the next line end of str.splitlines
+    head = re.search(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", text)
+    if head is None:
         raise ValueError("empty array text")
-    head = lines[0].split()
-    if head[0] == "OA":
-        if len(head) != 4:
-            raise ValueError(f"malformed OA header: {lines[0]!r}")
-        t, k, v = (int(x) for x in head[1:])
-        return OrthogonalArray(t, k, v, [[int(x) for x in ln.split()] for ln in lines[1:]])
-    if head[0] == "AOA":
-        if len(head) != 5:
-            raise ValueError(f"malformed AOA header: {lines[0]!r}")
-        s, t, k, v = (int(x) for x in head[1:])
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != k + 1:
-                raise ValueError(f"row {ln!r} does not have {k} symbols plus an augmented field")
-            field = parts.pop()
-            aug = [int(x) for x in field.split(",")]
-            if len(aug) != t - s:
-                raise ValueError(f"augmented field {field!r} is not a {t - s}-tuple")
-            rows.append([int(x) for x in parts] + aug)
-        return AugmentedOA(s, t, k, v, rows)
-    raise ValueError(f"unknown array header {head[0]!r}")
+    line = head.group().rstrip()
+    kind, *numbers = line.split()
+    if kind not in ("OA", "AOA"):
+        raise ValueError(f"unknown array header {kind!r}")
+    if len(numbers) != (3 if kind == "OA" else 4):
+        raise ValueError(f"malformed {kind} header: {line!r}")
+    params = [int(x) for x in numbers]
+    k = params[-2]
+    if kind == "OA":  # whole: a row layout that ``_read_chunk`` can build
+        cls, aug_width, whole = OrthogonalArray, None, k >= 1
+    else:
+        cls, aug_width = AugmentedOA, params[1] - params[0]
+        whole = k >= 0 and aug_width >= 1
+    width = k + (aug_width or 0)
+    start = head.end() + (2 if text.startswith("\r\n", head.end()) else 1)
+    grid, row, ragged, overflow = None, 0, None, None
+    while start < len(text):
+        end = len(text)
+        if end - start > 2 * _LOAD_CELLS:
+            end = text.rfind("\n", start, start + 2 * _LOAD_CELLS) + 1
+            if not end:  # a line longer than the window
+                end = text.find("\n", start + 2 * _LOAD_CELLS) + 1 or len(text)
+        chunk = text[start:end]
+        values = _read_chunk(chunk, k, width - k) if whole and chunk.isascii() else None
+        if values is None:
+            rows = _read_lines(chunk, k, aug_width)
+            if any(len(r) != width for r in rows):
+                ragged = ragged or rows
+            elif not (ragged or overflow):
+                try:
+                    values = np.array(rows, dtype=np.int64)
+                except OverflowError:
+                    overflow = rows
+        if values is not None and len(values) and not (ragged or overflow):
+            if grid is None or row + len(values) > len(grid):
+                lines = text.count("\n", start) + 1 if grid is None else 2 * len(grid)
+                fits = row + (len(text) - start + 1) // (2 * width)  # cells take 2 characters
+                grown = np.empty((max(min(lines, fits), row + len(values)), width), np.int64)
+                if grid is not None:
+                    grown[:row] = grid[:row]
+                grid = grown
+            grid[row:row + len(values)] = values
+            row += len(values)
+        start = end
+    if ragged or overflow or grid is None:  # the constructor raises on rejected rows
+        return cls(*params, ragged or overflow or [])
+    return cls._adopting(grid[:row], *params)

@@ -5,7 +5,8 @@ argv, its stdin, and the exit status, stdout and stderr it gave when the
 corpus was recorded.  Stdin is inline text, or a recipe: a pipe of commands,
 the first run on empty stdin, whose last output is then changed in a few
 seeded cells (``mutate``), or shuffled, maybe given another header, and
-given one of the text differential's defects (``malform``).  Stdout is kept
+given one of the text differential's defects (``malform``), or given such
+defects at its first or last spots, in order (``place``).  Stdout is kept
 as text, or as its SHA-256 when it is longer than ``INLINE``.  The runs cover the ``witness:`` and
 ``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
 error, the ``--max-cells`` refusals, the other ``construct`` refusals,
@@ -27,6 +28,7 @@ import json
 import random
 import re
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from oaramp import cli
@@ -81,6 +83,8 @@ def stdin_of(entry: dict) -> str:
         text = mutate(text, **stdin["mutate"])
     if "malform" in stdin:
         text = malform(text, **stdin["malform"])
+    for defect, where in stdin.get("place", ()):
+        text = with_defect(text, defect, itemgetter({"first": 0, "last": -1}[where]))
     return text
 
 
@@ -114,6 +118,11 @@ STDIN_SOURCES = [["construct", "oa-rs", "--q", "3", "--t", "2"],
 STDIN_HEADS = ["OA 2 4 9", "AOA 1 2 4 2", "OA 0 0 0", "AOA 4 2 1 0", "AOA 1 3 3 9",
                "OA 9 9 9", f"OA 2 2 {2**62}", f"AOA 0 {2**62} 4 3"]
 STDIN_COMMANDS = [["verify"], ["split"], ["ramp", "audit"]]
+# Bodies of several reader chunks (2^13 cells each), and defects placed late in them
+LONG_SOURCES = [["construct", "oa-rs", "--q", "11", "--t", "3"],
+                ["construct", "aoa-shamir", "--q", "7", "--s", "2", "--t", "4", "--k", "6"]]
+LATE_DEFECTS = [[["tab", "last"]], [["blank at end", "last"]], [["crlf", "last"]],
+                [["plus", "last"]], [["word", "last"]]]
 
 
 def _oa_rs(q: str, t: str) -> list[str]:
@@ -279,6 +288,13 @@ def cases() -> list[dict]:
     for q in ("4", "8"):  # OA(3,9,8) is past the certificate's key-visit limit
         for stdin in _mutations([_oa_rs(q, "3")], (0,)):
             add(["construct", "aoa-merge", "--s", "1"], stdin)
+    # long bodies with a defect late in them: only the last chunk leaves the export layout
+    for source in LONG_SOURCES:
+        for place in LATE_DEFECTS:
+            for argv in (["verify"], ["split"]):
+                add(argv, {"pipe": [source], "place": place})
+    for argv in (["verify"], ["split"]):  # a ragged first row, then a word in the last
+        add(argv, {"pipe": LONG_SOURCES[:1], "place": [["missing", "first"], ["word", "last"]]})
     return out
 
 

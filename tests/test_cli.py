@@ -556,8 +556,9 @@ def test_stdin_arrays_exit_0_1_or_2_at_once(text):
     (f"OA 1 {2**62} 2\n" + "0 1\n" * 10**4, f"row (0, 1) has length 2, expected {2**62}"),
 ])
 def test_huge_header_widths_fail_at_once_with_the_line_loop_message(text, message):
-    """The whole-text reader builds a header's separator pattern only when
-    the text has that many separators, so these go to the line loop."""
+    """The whole-array pass builds a header's separator pattern only when a
+    chunk has that many separators, so these go to the line loop, and no
+    grid is allocated for rows of the wrong width."""
     assert run_briefly(["verify"], text) == (2, f"error: {message}\n")
 
 

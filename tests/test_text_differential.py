@@ -1,17 +1,19 @@
-"""Differential tests: the whole-grid text writer and the whole-text reader
+"""Differential tests: the whole-grid text writer and the chunked text reader
 against the line-by-line versions in ``oracles``.
 
 Written text must be byte-identical, for arrays of every shape, alphabets up
 to 2^63 and arrays longer than one write block.  Reading a valid text, or one
-with a single defect, must give an equal array or the same error message,
+with a defect or two, must give an equal array or the same error message,
 also when it is read in chunks of a few lines.
 The defects include every way a text can leave the layout ``dump_array``
-writes, which is where the reader leaves its whole-text path for its line
-loop; text in that layout must never reach the loop.
+writes, which is where a chunk leaves the whole-array pass for the line
+loop; text in that layout must never reach the loop, and a defect sends its
+own chunk there, no other.
 """
 
 import random
 import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import oracles
@@ -178,6 +180,34 @@ def test_load_in_chunks_of_a_few_lines_matches_the_oracle(a, defect, cells, seed
         assert outcome(load_array, text) == outcome(oracles.load_array, text)
 
 
+def with_two_defects(text, first, second, pick):
+    """``text``, canonical array text, with defect ``first`` placed among
+    the first half of its rows and ``second`` among the rest.  A defect that
+    lands on the second half's own header (or on the newline before it) is
+    dropped with that header."""
+    head, *rows = text.splitlines(keepends=True)
+    half = len(rows) // 2
+    one = with_defect(head + "".join(rows[:half]), first, pick)
+    two = with_defect(head + "".join(rows[half:]), second, pick)
+    return one + two.lstrip("\n").partition("\n")[2]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(arrays(), st.sampled_from(DEFECTS), st.sampled_from(DEFECTS),
+       st.sampled_from(SMALL_CHUNKS), st.data())
+def test_load_with_two_defects_in_different_chunks_matches_the_oracle(a, first, second, cells,
+                                                                       data):
+    """Chunks of a few lines put the two defects in different chunks, so the
+    reader must keep the line loop's error order across chunks."""
+    text = with_two_defects(dump_array(a), first, second, drawing(data))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_LOAD_CELLS", cells)
+        assert outcome(load_array, text) == outcome(oracles.load_array, text)
+
+
+ROWS = "0 1\n" * 5000  # 10,000 cells: more than one chunk at the default size
+
+
 @pytest.mark.parametrize("cells", [designs._LOAD_CELLS, 1])
 @pytest.mark.parametrize("text", [
     "AOA 1 1 2 3\n0 1\n1 0\n",  # s = t, rows of k symbols
@@ -194,6 +224,15 @@ def test_load_in_chunks_of_a_few_lines_matches_the_oracle(a, defect, cells, seed
     f"OA 1 2 {10**18}\n{10**18} 0\n",
     "OA 1 2 3\n0 1\n\n2 2\n",  # a blank line between chunks of one line
     f"OA 1 1 3\n0\n{'0' * 40}\n1\n",  # a line longer than a window, and too long a symbol
+    "OA 1 2 3\n" + "0 1\r2 2\n" * 3,  # lines split by "\r" outnumber the newlines
+    # two errors in different chunks; the line loop raises the one named first
+    pytest.param("OA 1 2 3\n0\n" + ROWS + "0 x\n", id="late int() error, early ragged row"),
+    pytest.param("OA 0 2 3\n" + ROWS + "0\n", id="header's t, ragged row"),
+    pytest.param("OA 1 2 3\n0\n" + ROWS + f"0 {2**64}\n", id="ragged row, past int64"),
+    pytest.param(f"OA 1 2 3\n0 {2**64}\n" + ROWS + "5 0\n", id="past int64, out of range"),
+    pytest.param("OA 1 2 3\n5 0\n" + ROWS + f"0 {2**64}\n", id="late past int64, out of range"),
+    pytest.param("AOA 2 1 2 3\n" + "0 1 0\n" * 5000, id="AOA row shape, s > t"),
+    pytest.param("AOA 1 1 2 3\n" + "0 1 0\n" * 5000, id="AOA row shape, s = t"),
 ])
 def test_load_matches_the_oracle_at_the_edges_of_the_whole_text_path(text, cells, monkeypatch):
     monkeypatch.setattr(designs, "_LOAD_CELLS", cells)
@@ -208,9 +247,9 @@ def shuffled(text, seed, final_newline=True):
 
 
 def refuse_the_line_loop(monkeypatch):
-    def loop(text):
+    def loop(body, k, aug_width):
         raise AssertionError("canonical text reached the line loop")
-    monkeypatch.setattr(designs, "_load_lines", loop)
+    monkeypatch.setattr(designs, "_read_lines", loop)
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
@@ -230,12 +269,11 @@ def test_canonical_text_never_reaches_the_line_loop(build, final_newline, monkey
 @SETTINGS
 @given(arrays(alphabets=[2, 3, 10, 11, 1000, 10**18]), st.booleans(), st.integers(0, 9))
 def test_canonical_text_of_any_shape_never_reaches_the_line_loop(a, final_newline, seed):
-    """Every symbol below 10^18 has at most 18 digits; only a text with no
-    rows, whose header is the whole of it, is left to the loop."""
+    """Every symbol below 10^18 has at most 18 digits; a text with no rows
+    has no chunk to read."""
     text = shuffled(dump_array(a), seed, final_newline)
     with pytest.MonkeyPatch.context() as mp:
-        if len(a.grid):
-            refuse_the_line_loop(mp)
+        refuse_the_line_loop(mp)
         assert load_array(text) == a
 
 
@@ -263,15 +301,48 @@ def test_a_callers_array_in_canonical_order_is_copied_and_left_writeable():
     assert not np.shares_memory(rows, a.grid)
 
 
-def test_loading_canonical_text_takes_little_more_memory_than_its_grid():
-    """Text is parsed a chunk at a time into the one grid, which is kept as
-    read: whole-text passes and a sort peaked at 4.57 MiB here."""
-    text = dump_array(AOA_2_4_8_11)
+def load_peak(text):
+    """The array ``load_array`` reads from ``text``, and its ``tracemalloc`` peak."""
     tracemalloc.start()
     try:
         a = load_array(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        return a, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_loading_canonical_text_takes_little_more_memory_than_its_grid():
+    """Text is parsed a chunk at a time into the one grid, which is kept as
+    read: whole-array passes and a sort peaked at 4.57 MiB here."""
+    a, peak = load_peak(dump_array(AOA_2_4_8_11))
     assert a == AOA_2_4_8_11
     assert peak <= a.grid.nbytes + 2**19
+
+
+def test_text_off_the_export_layout_takes_little_more_memory_than_its_dump():
+    """CRLF line ends send every chunk to the line loop, which holds one
+    chunk's rows as Python ints at a time.  Read whole that way, the body
+    peaked at 4.7 MiB over the dump's 1.5 MiB."""
+    text = dump_array(AOA_2_4_8_11)
+    dumped, dump_peak = load_peak(text)
+    crlf, crlf_peak = load_peak(text.replace("\n", "\r\n"))
+    assert crlf == dumped == AOA_2_4_8_11
+    assert crlf_peak <= dump_peak + 2**19
+
+
+@pytest.mark.parametrize("defect", ["word", "tab", "plus", "trailing space", "blank at end",
+                                    "19 digits"])
+def test_a_defect_in_the_last_row_sends_only_the_last_chunk_to_the_line_loop(defect,
+                                                                           monkeypatch):
+    text = with_defect(dump_array(AOA_2_4_8_11), defect, itemgetter(-1))
+    lines = []
+    read_lines = designs._read_lines
+
+    def counting(body, k, aug_width):
+        lines.append(len(body.splitlines()))
+        assert text.endswith(body)
+        return read_lines(body, k, aug_width)
+    monkeypatch.setattr(designs, "_read_lines", counting)
+    assert outcome(load_array, text) == outcome(oracles.load_array, text)
+    # one chunk of 2^14 characters, and a row takes 20 at least: 819 of 14,641 lines
+    assert len(lines) == 1 and lines[0] <= 2 * designs._LOAD_CELLS // 20
