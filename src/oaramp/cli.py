@@ -161,6 +161,7 @@ def _stdin_array(stdin: TextIO, cap: int, use):
         pieces.append(last)
         chars += len(last)
     text = "".join(pieces)  # the first piece itself when it is the only one
+    del pieces, last  # so the body is held once, joined, while it is read
     if not text or text.isspace():
         raise ValueError("expected an array on standard input")
     a = designs.load_array(text)

@@ -171,6 +171,7 @@ def _canonical_grid(rows: Iterable[Sequence[int]] | np.ndarray, width: int,
             if not (ties[1:] > ties[:-1]).all():
                 order = np.lexsort([_key(grid.T, range(start, min(start + c, width)), v)
                                     for start in reversed(range(c, width, c))] + [lead])
+            del lead, ties  # not held through the gather, which holds the grid twice
             grid, adopt = grid[order], True
     if not adopt:
         grid = grid.copy()
@@ -215,7 +216,7 @@ class VerifyResult:
 def _tally(keys: np.ndarray, size: int) -> np.ndarray:
     """How often each integer in [0, size) occurs in ``keys``: the one place
     rows are counted, for the verifiers' witnesses, the split, the audit and
-    reconstruct.  Keys are dense table indices, never hashed."""
+    the scheme's bucket offsets.  Keys are dense table indices, never hashed."""
     return np.bincount(keys, minlength=size)
 
 

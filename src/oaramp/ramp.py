@@ -155,20 +155,26 @@ class RampScheme:
         self._cum_weights: dict[int, list[float]] = {}  # filled by deal, per secret
 
     @functools.cached_property
-    def _share_index(self) -> tuple[np.ndarray, list[list[int]], list[list[int]]]:
+    def _share_index(self) -> tuple[np.ndarray, list[list[int]], list[list[int]], np.ndarray, int]:
         """Derived data for ``reconstruct``, built on its first call: for each
         player p (0-based), the distinct shares ``values[p]`` in ascending
         order and ``order[p]``, the rows in stable order of p's share.  The
         rows where p holds ``values[p][i]`` are
-        ``order[p][start[p][i]:start[p][i + 1]]``."""
-        order, values, start = [], [], []
+        ``order[p][start[p][i]:start[p][i + 1]]``.  ``words[p // (63 // b)]`` holds
+        p's rank i in b bits from bit b * (p % (63 // b)), b those of the largest rank."""
+        order, values, start, ranks = [], [], [], []
         for p in range(self.n):
             shares, rank = _ranks(self.aoa.grid, [p], self.v)
             rows, offsets = _buckets(rank, len(shares))
             order.append(rows)
             values.append(shares[:, 0].tolist())
             start.append(offsets)
-        return np.stack(order), values, start
+            ranks.append(rank.astype(np.min_scalar_type(len(shares) - 1)))
+        b = max(1, (max(map(len, values)) - 1).bit_length())
+        words = np.zeros((-(-self.n // (63 // b)), len(self.aoa.grid)), dtype=np.int64)
+        for p, rank in enumerate(ranks):
+            words[p // (63 // b)] |= rank.astype(np.int64) << b * (p % (63 // b))
+        return np.stack(order), values, start, words, b
 
     @property
     def rules(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -321,8 +327,8 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     failure rather than a user error.
 
     It reads the smallest of the bundle's share buckets (the rows where one
-    player holds its share, from the scheme's share index), keeps the rows
-    that agree with every other share, and reads their secrets.
+    player holds its share), keeps the rows whose packed share ranks match
+    the bundle's, one masked compare per word, and reads their secrets.
     """
     if len(shares) < sch.t:
         raise ValueError(f"need at least t={sch.t} shares, got {len(shares)}")
@@ -330,8 +336,9 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     for p, _ in pairs:
         if p > sch.n:
             raise ValueError(f"player index {p} exceeds n={sch.n}")
-    order, values, start = sch._share_index
+    order, values, start, words, b = sch._share_index
     buckets = []  # (size, player, first offset) of each share's bucket
+    masks: dict[int, list[int]] = {}  # word: [mask, want] over the bundle's players
     for p, x in pairs:
         known = values[p - 1]
         i = bisect.bisect_left(known, x)
@@ -339,12 +346,15 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
             return ReconstructionResult("no_matching_rule")
         lo, hi = start[p - 1][i], start[p - 1][i + 1]
         buckets.append((hi - lo, p, lo))
+        w, j = divmod(p - 1, 63 // b)
+        entry = masks.setdefault(w, [0, 0])
+        entry[0] |= (1 << b) - 1 << b * j
+        entry[1] |= i << b * j
     size, first, lo = min(buckets)
     rows = order[first - 1, lo:lo + size]
-    for p, x in pairs:
-        if p != first:
-            rows = rows[sch.aoa.grid[rows, p - 1] == x]
-    found = np.flatnonzero(_tally(sch._sid[rows], len(sch.secrets))).tolist()
+    for w, (mask, want) in masks.items():
+        rows = rows[(words[w].take(rows) & mask) == want]
+    found = sorted(set(sch._sid.take(rows).tolist()))
     if not found:
         return ReconstructionResult("no_matching_rule")
     if len(found) > 1:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oaramp import cli, designs, gf
+from oaramp import caps, cli, designs, gf
 from oaramp.cli import main
 from test_text_differential import DEFECTS, drawing, with_defect
 
@@ -625,6 +625,19 @@ def test_a_long_or_endless_stdin_exits_2_at_the_cap(argv, stdin, err):
     else:
         assert (code, got.getvalue()) == (1, "")
         assert out.getvalue().endswith("witness: expected 4 rows, found 34\n")
+
+
+@pytest.mark.parametrize("cap", [1000, 5000])  # one piece of stdin, and two
+def test_a_body_of_20_characters_per_cell_of_the_cap_is_read_and_one_more_is_refused(cap):
+    """The body after the header line is counted in characters: an OA(2,3,2)
+    padded with spaces to exactly ``TEXT_CHARS * cap`` of them verifies, and
+    one more space is refused with the characters message."""
+    rows = "0 0 0\n0 1 1\n1 0 1\n1 1 0\n"
+    body = rows + " " * (caps.TEXT_CHARS * cap - len(rows))
+    argv = ["--max-cells", str(cap), "verify"]
+    assert run(argv, "OA 2 3 2\n" + body) == (0, "OA(2,3,2): VALID (4 rows, exhaustive)\n")
+    assert run_briefly(argv, "OA 2 3 2\n" + body + " ") == (
+        2, CHARS_PAST.format(caps.TEXT_CHARS * cap, cap))
 
 
 def test_a_body_of_several_pieces_under_the_cap_is_read_whole():

@@ -4,8 +4,10 @@ and dealing against the pure-Python reference versions in ``oracles``.
 Inputs cover alphabets 2..6 (6 is not a prime power): random candidates with
 wrong row counts, one- to four-cell corruptions of constructed arrays, swapped
 augmented tuples, non-ideal, short and weighted rule tables, and bundles
-that are valid, inconsistent or ambiguous.  Every result must be equal to
-the oracle's, field by field.
+that are valid, inconsistent or ambiguous.  Reconstruction also runs on
+tables of up to 130 players, and over v = 1000 and v = 2**70, whose packed
+share ranks fill several words.  Every result must be equal to the
+oracle's, field by field.
 
 The verifiers' mark path is pinned at its edges (a first failure after many
 passing subsets, in the last run of subsets sharing leading columns, and in
@@ -578,6 +580,51 @@ def test_reconstruct_on_uneven_share_buckets_matches_oracle(sch, data):
     """Random rule tables: non-ideal, with share buckets of unequal sizes, so
     the smallest bucket is often not the lowest player's."""
     check_reconstruct(sch, data)
+
+
+@st.composite
+def wide_rule_tables(draw):
+    """Random rule tables whose packed share ranks fill two words or more:
+    64 to 130 players over v = 2 (a bit a rank, 63 players a word), or 22 to
+    40 players over v = 1000 or v = 2**70 whose shares take 8 to 70 values
+    (3 to 7 bits a rank, 21 to 9 players a word)."""
+    v = draw(st.sampled_from([2, 1000, 2**70]))
+    n = draw(st.integers(64, 130) if v == 2 else st.integers(22, 40))
+    t = draw(st.integers(1, 3))
+    s = draw(st.integers(0, t - 1))
+    symbols = [0, 1] if v == 2 else draw(st.lists(
+        st.integers(0, min(v, 2**63) - 1), min_size=8, max_size=70, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shares = {tuple(rng.choice(symbols) for _ in range(n))
+              for _ in range(draw(st.integers(8, 40)))}
+    rules = [(sh, tuple(rng.choice(symbols[:2]) for _ in range(t - s))) for sh in shares]
+    return RampScheme(s, t, n, v, rules)
+
+
+@SETTINGS
+@given(wide_rule_tables(), st.data())
+def test_reconstruct_with_ranks_in_several_words_matches_oracle(sch, data):
+    """Bundles name players in any of the words, and a shifted share in any
+    one of them must fail the compare."""
+    assert len(sch._share_index[3]) > 1
+    check_reconstruct(sch, data)
+
+
+@pytest.mark.parametrize("n, v, values, b, words", [
+    (63, 2, 2, 1, 1), (64, 2, 2, 1, 2), (126, 2, 2, 1, 2), (127, 2, 2, 1, 3),
+    (31, 5, 3, 2, 1), (32, 5, 3, 2, 2), (15, 17, 16, 4, 1), (16, 17, 16, 4, 2),
+    (9, 2**70, 65, 7, 1), (10, 2**70, 65, 7, 2)])
+def test_share_ranks_take_b_bits_and_a_word_holds_63_over_b_players(n, v, values, b, words):
+    """``values`` rules, each giving all n players one of ``values`` symbols
+    spread over [0, v): every share rank up to values - 1 occurs, so b is its
+    bit length.  Bundles of the last player and any other, consistent or
+    not, reconstruct as the oracle does."""
+    symbols = [(min(v, 2**63) - 1) * i // (values - 1) for i in range(values)]
+    sch = RampScheme(0, 1, n, v, [((x,) * n, (i % 2,)) for i, x in enumerate(symbols)])
+    assert sch._share_index[4] == b and len(sch._share_index[3]) == words
+    for p, x, y in itertools.product(range(1, n), symbols, (0, symbols[1])):
+        bundle = ShareBundle({p: x, n: y})
+        assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
 
 
 @SETTINGS

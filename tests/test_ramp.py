@@ -4,6 +4,7 @@ and the two transform directions between schemes and augmented arrays."""
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -341,6 +342,23 @@ def test_reconstruct_reports_ambiguity_as_integrity_failure():
     result = reconstruct(corrupt, ShareBundle({1: 0, 2: 0}))
     assert result.status == "ambiguous"
     assert result.candidates == ((0,), (1,))
+
+
+def test_the_share_index_adds_one_int64_per_row_to_the_bucket_order():
+    """The GF(11) s=2 t=4 n=8 scheme: its 8 share ranks of 4 bits fit one
+    word, and its index holds that word beside the int32 bucket order and
+    the short per-player lists of values and offsets."""
+    sch = scheme_shamir(GF(11), 2, 4, 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        order, values, start, words, b = sch._share_index
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = len(sch.weights)
+    assert (b, words.shape, order.dtype.itemsize) == (4, (1, rows), 4)
+    assert held <= order.nbytes + 8 * rows + 2**14
 
 
 def test_threads_building_the_lazy_tables_at_once_get_sequential_results():
