@@ -8,7 +8,9 @@ The cell cap also bounds an array's text while it is read.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded
 
@@ -55,14 +57,42 @@ def check_verify(v: int, t: int, width: int, k: int, sizes: Sequence[int],
     check_subsets(k, sizes)
 
 
-def check_text(cells: int, chars: int, max_cells: int) -> None:
-    """Refuse array text, as read so far, of more than ``max_cells`` cells or
-    more than ``TEXT_CHARS`` characters per cell of that cap."""
-    if cells > max_cells:
-        raise CapExceeded(f"array text holds more than {max_cells} cells, cap is {max_cells}")
-    if chars > TEXT_CHARS * max_cells:
-        raise CapExceeded(f"array text holds more than {TEXT_CHARS * max_cells} characters, "
-                          f"cap is {TEXT_CHARS} per cell of the cell cap {max_cells}")
+class CappedText:
+    """Array text read in ``pieces`` and passed on, refused once past the
+    cap: its body, from ``start`` characters into the first piece, may hold
+    ``max_cells`` cells, runs of characters above space other than commas,
+    and ``TEXT_CHARS`` characters per cell of that cap.  n characters hold
+    (n + 1) // 2 cells at most, so pieces are kept, uncounted, until the body
+    holds 2 * ``max_cells`` characters; from then on each piece is counted,
+    and checked, before it is passed on.  Its length is the characters read."""
+
+    def __init__(self, pieces: Iterable[str], start: int, max_cells: int):
+        self.pieces, self.start, self.max_cells, self.chars = pieces, start, max_cells, 0
+
+    def __len__(self) -> int:
+        return self.chars
+
+    def __iter__(self) -> Iterator[str]:
+        held, cells, inside, start, cap = [], 0, False, self.start, self.max_cells
+        for piece in self.pieces:
+            held.append(piece)
+            self.chars += len(piece)
+            if self.chars - self.start >= 2 * cap:
+                for part in held:
+                    data = np.frombuffer(part[start:].encode(), dtype=np.uint8)
+                    symbol = np.concatenate(([inside], (data > 32) & (data != 44)))
+                    cells += int(np.count_nonzero(symbol[1:] > symbol[:-1]))
+                    inside, start = bool(symbol[-1]), 0
+                if cells > cap:
+                    raise CapExceeded(f"array text holds more than {cap} cells, cap is {cap}")
+                if self.chars - self.start > TEXT_CHARS * cap:
+                    raise CapExceeded(f"array text holds more than {TEXT_CHARS * cap} "
+                                      f"characters, cap is {TEXT_CHARS} per cell of the "
+                                      f"cell cap {cap}")
+                while held:
+                    yield held.pop(0)
+        while held:
+            yield held.pop(0)
 
 
 def check_subsets(k: int, sizes: Sequence[int]) -> None:

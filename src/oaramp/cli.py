@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from typing import TextIO
-
-import numpy as np
 
 from . import caps, designs, ramp
 from .errors import CapExceeded, ConstructionError, SchemeError
@@ -124,47 +123,31 @@ _PIECE = 2**16
 
 
 def _stdin_array(stdin: TextIO, cap: int, use):
-    """The array on ``stdin``, read in bounded pieces, and ``use(array)``.
-
-    The body is read ``_PIECE`` characters at a time, and ``caps.check_text``
-    refuses it once past the cap.  Its cells, runs of characters above space
-    other than commas, are counted only once it could hold more than the
-    cap: n characters hold (n + 1) // 2 at most.  Before a second piece is
-    read or the first one counted, ``use`` runs on the array that the header
-    line announces, with no rows: a cap refusal there comes before the body
-    is read, and any other error is left for the whole array to raise.  So
-    an input of one piece with too short a body to count is read as before.
-    """
+    """The array on ``stdin``, read ``_PIECE`` characters at a time (until
+    the first piece comes back short or a later read empty) through
+    ``caps.CappedText`` into ``designs.load_array``, and ``use(array)``.  When the first piece fills
+    or holds a body long enough to count, ``use`` first runs on the array
+    that the header line announces, with no rows: a cap refusal there comes
+    before the body is read, and any other error is left for the whole
+    array to raise."""
     text = stdin.read(_PIECE)
     end = text.find("\n")
     if end < 0 and len(text) < _PIECE:
         end = len(text)  # the whole input is one line
-    last, pieces = text, [text]  # the body starts at end + 1 of the first piece
-    chars, counted, cells, inside = max(len(text) - end - 1, 0), 0, 0, False
-    if end >= 0 and (len(text) == _PIECE or chars >= 2 * cap):
+    if end >= 0 and (len(text) == _PIECE or len(text) - end > 2 * cap):
         try:
             header = designs.load_array(text[:end])
             if not len(header.grid):
                 use(header)
         except ValueError:
             pass
-    while True:
-        for part in pieces[counted:] if chars >= 2 * cap else ():
-            data = np.frombuffer(part[0 if counted else end + 1:].encode(), dtype=np.uint8)
-            symbol = np.concatenate(([inside], (data > 32) & (data != 44)))
-            cells += int(np.count_nonzero(symbol[1:] > symbol[:-1]))
-            inside, counted = bool(symbol[-1]), counted + 1
-        caps.check_text(cells, chars, cap)
-        if len(last) < _PIECE:
-            break
-        last = stdin.read(_PIECE)
-        pieces.append(last)
-        chars += len(last)
-    text = "".join(pieces)  # the first piece itself when it is the only one
-    del pieces, last  # so the body is held once, joined, while it is read
-    if not text or text.isspace():
-        raise ValueError("expected an array on standard input")
-    a = designs.load_array(text)
+    more = iter(functools.partial(stdin.read, _PIECE), "") if len(text) == _PIECE else ()
+    try:
+        a = designs.load_array(caps.CappedText(itertools.chain([text], more), end + 1, cap))
+    except ValueError as e:
+        if e.args != ("empty array text",):
+            raise
+        raise ValueError("expected an array on standard input") from None
     return a, use(a)
 
 

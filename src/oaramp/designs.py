@@ -844,71 +844,91 @@ def _read_lines(body: str, k: int, aug_width: int | None) -> list[list[int]]:
     return rows
 
 
-def load_array(text: str) -> OrthogonalArray | AugmentedOA:
-    """Parse either array format; rows may be in any order and are canonicalized.
+def load_array(text: str | Iterable[str]) -> OrthogonalArray | AugmentedOA:
+    """Parse either array format, from a string or the string pieces an
+    iterable yields; rows may be in any order and are canonicalized.
 
-    The header is the first non-blank line.  The body is cut into chunks of
-    whole lines, each one window of 2 * ``_LOAD_CELLS`` characters (a cell
-    takes two at least) cut back to its last newline, or one longer line.
-    A chunk laid out as ``dump_array`` writes it, symbols of at most 18
-    digits, is read by ``_read_chunk``; any other by ``_read_lines``, which
-    gives the same rows or error.  Rows go into one int64 grid, sized by
-    the newlines left once the first rows of the header's width come, and
-    grown if other line ends outnumber them.  Canonical rows are not sorted.
+    The header is the first non-blank line.  The whole lines of each piece,
+    after the line carried over from the pieces before it, are cut into
+    chunks: windows of 2 * ``_LOAD_CELLS`` characters (a cell takes two at
+    least) cut back to their last newline, or one longer line.  A chunk in
+    ``dump_array``'s layout, symbols of at most 18 digits, is read by
+    ``_read_chunk``, any other by ``_read_lines``, which gives the same rows
+    or error, into one int64 grid: sized by the newlines left in the piece
+    the first rows come in, and doubled when more come.  Canonical rows are
+    not sorted.
 
     Errors come in the line loop's order: a malformed line first, then the
     constructor's checks on the header, the first row of the wrong length,
     a symbol past int64 and one out of range.  Rows after a chunk that the
-    constructor rejects are still read, for their errors, but not kept.
+    constructor rejects are still read, for their errors, but not kept.  No
+    error is raised before the pieces are used up.
     """
-    # from the first non-space character to the next line end of str.splitlines
-    head = re.search(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", text)
-    if head is None:
-        raise ValueError("empty array text")
-    line = head.group().rstrip()
-    kind, *numbers = line.split()
-    if kind not in ("OA", "AOA"):
-        raise ValueError(f"unknown array header {kind!r}")
-    if len(numbers) != (3 if kind == "OA" else 4):
-        raise ValueError(f"malformed {kind} header: {line!r}")
-    params = [int(x) for x in numbers]
-    k = params[-2]
-    if kind == "OA":  # whole: a row layout that ``_read_chunk`` can build
-        cls, aug_width, whole = OrthogonalArray, None, k >= 1
-    else:
-        cls, aug_width = AugmentedOA, params[1] - params[0]
-        whole = k >= 0 and aug_width >= 1
-    width = k + (aug_width or 0)
-    start = head.end() + (2 if text.startswith("\r\n", head.end()) else 1)
-    grid, row, ragged, overflow = None, 0, None, None
-    while start < len(text):
-        end = len(text)
-        if end - start > 2 * _LOAD_CELLS:
-            end = text.rfind("\n", start, start + 2 * _LOAD_CELLS) + 1
-            if not end:  # a line longer than the window
-                end = text.find("\n", start + 2 * _LOAD_CELLS) + 1 or len(text)
-        chunk = text[start:end]
-        values = _read_chunk(chunk, k, width - k) if whole and chunk.isascii() else None
-        if values is None:
-            rows = _read_lines(chunk, k, aug_width)
-            if any(len(r) != width for r in rows):
-                ragged = ragged or rows
-            elif not (ragged or overflow):
-                try:
-                    values = np.array(rows, dtype=np.int64)
-                except OverflowError:
-                    overflow = rows
-        if values is not None and len(values) and not (ragged or overflow):
-            if grid is None or row + len(values) > len(grid):
-                lines = text.count("\n", start) + 1 if grid is None else 2 * len(grid)
-                fits = row + (len(text) - start + 1) // (2 * width)  # cells take 2 characters
-                grown = np.empty((max(min(lines, fits), row + len(values)), width), np.int64)
-                if grid is not None:
-                    grown[:row] = grid[:row]
-                grid = grown
-            grid[row:row + len(values)] = values
-            row += len(values)
-        start = end
+    pieces = iter([text] if isinstance(text, str) else text)
+    carried, head, grid, row, ragged, overflow = [], None, None, 0, None, None
+    try:
+        for piece in itertools.chain(pieces, [None]):  # None ends the last line
+            if piece is not None:
+                carried.append(piece)
+                if "\n" not in piece:
+                    continue
+            text = "".join(carried)  # the piece itself when no line is carried over
+            stop = len(text) if piece is None else text.rfind("\n") + 1
+            carried, start = [text[stop:]], 0
+            if head is None:
+                # from the first non-space character to the next line end of str.splitlines
+                head = re.compile(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*").search(text, 0, stop)
+                if head is None:
+                    continue
+                line = head.group().rstrip()
+                kind, *numbers = line.split()
+                if kind not in ("OA", "AOA"):
+                    raise ValueError(f"unknown array header {kind!r}")
+                if len(numbers) != (3 if kind == "OA" else 4):
+                    raise ValueError(f"malformed {kind} header: {line!r}")
+                params = [int(x) for x in numbers]
+                k = params[-2]
+                if kind == "OA":  # whole: a row layout that ``_read_chunk`` can build
+                    cls, aug_width, whole = OrthogonalArray, None, k >= 1
+                else:
+                    cls, aug_width = AugmentedOA, params[1] - params[0]
+                    whole = k >= 0 and aug_width >= 1
+                width = k + (aug_width or 0)
+                start = head.end() + (2 if text.startswith("\r\n", head.end()) else 1)
+            while start < stop:
+                end = stop
+                if end - start > 2 * _LOAD_CELLS:
+                    end = text.rfind("\n", start, start + 2 * _LOAD_CELLS) + 1
+                    if not end:  # a line longer than the window
+                        end = text.find("\n", start + 2 * _LOAD_CELLS) + 1 or stop
+                chunk = text[start:end]
+                values = _read_chunk(chunk, k, width - k) if whole and chunk.isascii() else None
+                if values is None:
+                    rows = _read_lines(chunk, k, aug_width)
+                    if any(len(r) != width for r in rows):
+                        ragged = ragged or rows
+                    elif not (ragged or overflow):
+                        try:
+                            values = np.array(rows, dtype=np.int64)
+                        except OverflowError:
+                            overflow = rows
+                if values is not None and len(values) and not (ragged or overflow):
+                    if grid is None or row + len(values) > len(grid):
+                        size = 2 * len(grid) if grid is not None else min(
+                            text.count("\n", start) + 1, (len(text) - start + 1) // (2 * width))
+                        grown = np.empty((max(size, row + len(values)), width), np.int64)
+                        if grid is not None:
+                            grown[:row] = grid[:row]
+                        grid = grown
+                    grid[row:row + len(values)] = values
+                    row += len(values)
+                start = end
+        if head is None:
+            raise ValueError("empty array text")
+    except ValueError:
+        for _ in pieces:  # read to the end, for a cap refusal that a later piece may meet
+            pass
+        raise
     if ragged or overflow or grid is None:  # the constructor raises on rejected rows
         return cls(*params, ragged or overflow or [])
     return cls._adopting(grid[:row], *params)

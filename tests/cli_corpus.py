@@ -6,7 +6,10 @@ corpus was recorded.  Stdin is inline text, or a recipe: a pipe of commands,
 the first run on empty stdin, whose last output is then changed in a few
 seeded cells (``mutate``), or shuffled, maybe given another header, and
 given one of the text differential's defects (``malform``), or given such
-defects at its first or last spots, in order (``place``).  Stdout is kept
+defects at its first or last spots, in order (``place``); then given a
+string repeated some number of times at its end (``repeat``), or spaces
+before it, so that the first piece the command line reads from stdin ends
+inside a given string (``straddle``).  Stdout is kept
 as text, or as its SHA-256 when it is longer than ``INLINE``.  The runs cover the ``witness:`` and
 ``dependency:`` lines of ``verify`` and ``split``, every ``demo`` report and
 error, the ``--max-cells`` refusals, the other ``construct`` refusals,
@@ -85,7 +88,20 @@ def stdin_of(entry: dict) -> str:
         text = malform(text, **stdin["malform"])
     for defect, where in stdin.get("place", ()):
         text = with_defect(text, defect, itemgetter({"first": 0, "last": -1}[where]))
+    if "repeat" in stdin:
+        part, times = stdin["repeat"]
+        text += part * times
+    if "straddle" in stdin:
+        text = straddle(text, *stdin["straddle"])
     return text
+
+
+def straddle(text: str, part: str, cut: int) -> str:
+    """``text`` after as many spaces as move its last ``part`` that starts at
+    most ``cut`` characters before the end of stdin's first piece to start
+    exactly ``cut`` characters before it: the first piece ends in ``part``."""
+    at = text.rindex(part, 0, cli._PIECE - cut + len(part))
+    return " " * (cli._PIECE - cut - at) + text
 
 
 def outcome(entry: dict) -> dict:
@@ -118,6 +134,10 @@ STDIN_SOURCES = [["construct", "oa-rs", "--q", "3", "--t", "2"],
 STDIN_HEADS = ["OA 2 4 9", "AOA 1 2 4 2", "OA 0 0 0", "AOA 4 2 1 0", "AOA 1 3 3 9",
                "OA 9 9 9", f"OA 2 2 {2**62}", f"AOA 0 {2**62} 4 3"]
 STDIN_COMMANDS = [["verify"], ["split"], ["ramp", "audit"]]
+# Bodies of two or three stdin pieces (2^16 characters each), and of one piece
+MULTI_PIECE = {"verify": (["construct", "oa-rs", "--q", "13", "--t", "3"], "12"),
+               "split": (["construct", "aoa-shamir", "--q", "16", "--s", "1", "--t", "3",
+                          "--k", "6"], "15")}
 # Bodies of several reader chunks (2^13 cells each), and defects placed late in them
 LONG_SOURCES = [["construct", "oa-rs", "--q", "11", "--t", "3"],
                 ["construct", "aoa-shamir", "--q", "7", "--s", "2", "--t", "4", "--k", "6"]]
@@ -295,6 +315,14 @@ def cases() -> list[dict]:
                 add(argv, {"pipe": [source], "place": place})
     for argv in (["verify"], ["split"]):  # a ragged first row, then a word in the last
         add(argv, {"pipe": LONG_SOURCES[:1], "place": [["missing", "first"], ["word", "last"]]})
+    # bodies of several stdin pieces: a CRLF pair and a symbol across the first
+    # piece's end, defects in the last piece, and whitespace alone
+    for verb, (source, symbol) in MULTI_PIECE.items():
+        add([verb], {"pipe": [source], "place": [["crlf", "first"]], "straddle": ["\r\n", 1]})
+        add([verb], {"pipe": [source], "straddle": [f" {symbol} ", 2]})
+        for defect in ("word", "trailing space"):
+            add([verb], {"pipe": [source], "place": [[defect, "last"]]})
+        add([verb], {"pipe": [], "repeat": [" \t\r\n", 40000]})
     return out
 
 

@@ -54,6 +54,20 @@ def test_every_public_check_is_called_from_another_module():
     assert checks and checks <= called, sorted(checks - called)
 
 
+def test_capped_text_passes_each_piece_on_once_counted_and_counts_its_characters():
+    """A body too short to pass the cap is kept uncounted and passed on at
+    its end.  From 2 * cap characters on, each piece is counted before it is
+    passed on, so no piece past the cap reaches the reader.  The length, the
+    characters read, is what the benchmark's trace records as text bytes."""
+    short = caps.CappedText(iter(["OA 1 1 2\n0", "\n1\n"]), 9, 100)
+    assert list(short) == ["OA 1 1 2\n0", "\n1\n"] and len(short) == 13
+    passed, text = [], caps.CappedText(iter(["OA 1 1 2\n", "0\n1\n", "0\n"]), 9, 2)
+    with pytest.raises(CapExceeded, match="^array text holds more than 2 cells, cap is 2$"):
+        for piece in text:
+            passed.append(piece)
+    assert passed == ["OA 1 1 2\n", "0\n1\n"] and len(text) == 15
+
+
 class Overrun(Exception):
     pass
 

@@ -605,9 +605,17 @@ CHARS_PAST = ("error: array text holds more than {} characters, "
     # rows split from the header by "\r": no header alone to check first
     (["--max-cells", "5", "verify"], io.StringIO("OA 1 1 2\r0\r1\n" + "0\n1\n" * 3),
      CELLS_PAST.format(5)),
+    # an error in the first piece does not end the read: the cap refuses a later piece
+    (["--max-cells", "5000", "verify"], Endless("OA 2 3 2\n0 1 x\n", " "),
+     CHARS_PAST.format(100000, 5000)),
+    (["--max-cells", "50000", "verify"], Endless("XA 2 3 2\n", "0 1 1\n"),
+     CELLS_PAST.format(50000)),
+    (["verify"], io.StringIO(" \t\n" * 50000),
+     "error: expected an array on standard input\n"),
 ], ids=["endless-rows", "endless-scheme", "endless-line", "endless-blank-lines",
         "endless-spaces", "endless-past-cap-header", "past-cap-header", "past-cap",
-        "past-cap-line-loop", "at-cap", "rows-on-the-header-line"])
+        "past-cap-line-loop", "at-cap", "rows-on-the-header-line", "bad-token-then-spaces",
+        "unknown-header-then-rows", "three-pieces-of-whitespace"])
 def test_a_long_or_endless_stdin_exits_2_at_the_cap(argv, stdin, err):
     """The body is read in pieces and refused once it holds more cells than
     the cap, or more than 20 characters per cell of the cap."""
@@ -640,6 +648,25 @@ def test_a_body_of_20_characters_per_cell_of_the_cap_is_read_and_one_more_is_ref
         2, CHARS_PAST.format(caps.TEXT_CHARS * cap, cap))
 
 
+class CountingReads(io.StringIO):
+    """A stdin that counts its ``read`` calls."""
+
+    reads = 0
+
+    def read(self, n=-1):
+        self.reads += 1
+        return super().read(n)
+
+
+def test_a_header_past_the_cap_is_refused_after_one_read():
+    stdin = CountingReads("OA 9 9 9\n" + "0 1 1\n" * 20000)  # three pieces
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["verify"], stdin=stdin, stdout=io.StringIO())
+    assert (code, err.getvalue(), stdin.reads) == (
+        2, "error: verification needs 3486784401 cells, cap is 10000000\n", 1)
+
+
 def test_a_body_of_several_pieces_under_the_cap_is_read_whole():
     text = "OA 2 3 2\n" + "0 1 1\n" * 20000  # 120,009 characters, two pieces
     assert run(["verify"], text) == (1, "OA(2,3,2): INVALID\n"
@@ -666,6 +693,23 @@ def test_a_12_mb_body_under_the_cap_keeps_its_row_count_witness():
     assert proc.returncode == 1
     assert proc.stdout == "OA(2,3,2): INVALID\nwitness: expected 4 rows, found 2000000\n"
     assert re.fullmatch(r"\d+\n", proc.stderr)
+
+
+def test_wide_symbols_cost_no_more_memory_than_narrow_ones():
+    """The same 10^6 rows, spelled with 1-digit and with 18-digit symbols
+    (6 MB and 57 MB of text), peak alike: stdin is parsed a piece at a time,
+    not held whole.  Held whole and joined, the wide body peaked 50 MiB above
+    the narrow one."""
+    peaks = []
+    for row in (b"0 1 1\n", b"000000000000000000 000000000000000001 000000000000000001\n"):
+        proc = subprocess.run([sys.executable, "-c", CHILD, "verify"],
+                              input=b"OA 2 3 2\n" + row * 10**6, env=CHILD_ENV,
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (
+            1, b"OA(2,3,2): INVALID\nwitness: expected 4 rows, found 1000000\n")
+        peaks.append(int(proc.stderr))
+    narrow, wide = peaks
+    assert wide <= 1.1 * narrow + 8 * 1024
 
 
 def test_an_endless_piped_stdin_exits_2_in_bounded_memory():

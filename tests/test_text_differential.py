@@ -205,6 +205,44 @@ def test_load_with_two_defects_in_different_chunks_matches_the_oracle(a, first, 
         assert outcome(load_array, text) == outcome(oracles.load_array, text)
 
 
+def cut(text, data):
+    """``text`` cut into pieces at places drawn from Hypothesis ``data``:
+    inside a symbol, between "\\r" and "\\n", inside the header line and
+    anywhere, some of them twice, for empty pieces."""
+    header = next((i for i, c in enumerate(text) if c in "\r\n"), len(text))
+    kinds = [[i for i in range(1, len(text)) if text[i - 1:i + 1].isdigit()],
+             [i for i in range(1, len(text)) if text[i - 1:i + 1] == "\r\n"],
+             list(range(1, header)), list(range(len(text) + 1))]
+    places = [i for kind in kinds if kind for i in data.draw(st.lists(st.sampled_from(kind),
+                                                                       max_size=3))]
+    places += data.draw(st.lists(st.sampled_from(places or [0]), max_size=2))
+    places.sort()
+    return [text[i:j] for i, j in zip([0, *places], [*places, len(text)])]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(arrays(), st.lists(st.sampled_from(DEFECTS), max_size=2), st.sampled_from(SMALL_CHUNKS),
+       st.data())
+def test_load_from_pieces_matches_load_from_the_whole_text(a, defects, cells, data):
+    """A text with no defect, one or two, and maybe one of its line ends a
+    "\\r" alone, read from pieces cut anywhere: the reader carries each
+    partial line over to the piece it ends in."""
+    text = dump_array(a)
+    if len(defects) == 1:
+        text = with_defect(text, defects[0], drawing(data))
+    elif defects:
+        text = with_two_defects(text, *defects, drawing(data))
+    ends = [i for i, c in enumerate(text[:-1]) if c == "\n"]
+    if ends and data.draw(st.booleans()):
+        i = data.draw(st.sampled_from(ends))
+        text = text[:i] + "\r" + text[i + 1:]
+    pieces = cut(text, data)
+    assert "".join(pieces) == text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_LOAD_CELLS", cells)
+        assert outcome(load_array, pieces) == outcome(load_array, text)
+
+
 ROWS = "0 1\n" * 5000  # 10,000 cells: more than one chunk at the default size
 
 
