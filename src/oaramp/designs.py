@@ -844,6 +844,12 @@ def _read_lines(body: str, k: int, aug_width: int | None) -> list[list[int]]:
     return rows
 
 
+def _line_end(find, start: int, stop: int) -> int:
+    """Just past the "\\n" that ``find`` (a text's find or rfind) meets in
+    [start, stop), or its "\\r" where there is no "\\n"; 0 if neither."""
+    return find("\n", start, stop) + 1 or find("\r", start, stop) + 1
+
+
 def load_array(text: str | Iterable[str]) -> OrthogonalArray | AugmentedOA:
     """Parse either array format, from a string or the string pieces an
     iterable yields; rows may be in any order and are canonicalized.
@@ -851,12 +857,13 @@ def load_array(text: str | Iterable[str]) -> OrthogonalArray | AugmentedOA:
     The header is the first non-blank line.  The whole lines of each piece,
     after the line carried over from the pieces before it, are cut into
     chunks: windows of 2 * ``_LOAD_CELLS`` characters (a cell takes two at
-    least) cut back to their last newline, or one longer line.  A chunk in
-    ``dump_array``'s layout, symbols of at most 18 digits, is read by
-    ``_read_chunk``, any other by ``_read_lines``, which gives the same rows
-    or error, into one int64 grid: sized by the newlines left in the piece
-    the first rows come in, and doubled when more come.  Canonical rows are
-    not sorted.
+    least) cut back to their last line end, or one longer line.  Each cut is
+    at a "\\n", or a "\\r" in text with none (a "\\r\\n" cut so leaves a blank
+    line).  A chunk in ``dump_array``'s layout, symbols of at most 18
+    digits, is read by ``_read_chunk``, any other by ``_read_lines``, which
+    gives the same rows or error, into one int64 grid: sized by the newlines
+    left in the piece the first rows come in, and doubled when more come.
+    Canonical rows are not sorted.
 
     Errors come in the line loop's order: a malformed line first, then the
     constructor's checks on the header, the first row of the wrong length,
@@ -870,10 +877,10 @@ def load_array(text: str | Iterable[str]) -> OrthogonalArray | AugmentedOA:
         for piece in itertools.chain(pieces, [None]):  # None ends the last line
             if piece is not None:
                 carried.append(piece)
-                if "\n" not in piece:
+                if "\n" not in piece and "\r" not in piece:
                     continue
             text = "".join(carried)  # the piece itself when no line is carried over
-            stop = len(text) if piece is None else text.rfind("\n") + 1
+            stop = len(text) if piece is None else _line_end(text.rfind, 0, len(text))
             carried, start = [text[stop:]], 0
             if head is None:
                 # from the first non-space character to the next line end of str.splitlines
@@ -898,9 +905,9 @@ def load_array(text: str | Iterable[str]) -> OrthogonalArray | AugmentedOA:
             while start < stop:
                 end = stop
                 if end - start > 2 * _LOAD_CELLS:
-                    end = text.rfind("\n", start, start + 2 * _LOAD_CELLS) + 1
+                    end = _line_end(text.rfind, start, start + 2 * _LOAD_CELLS)
                     if not end:  # a line longer than the window
-                        end = text.find("\n", start + 2 * _LOAD_CELLS) + 1 or stop
+                        end = _line_end(text.find, start + 2 * _LOAD_CELLS, stop) or stop
                 chunk = text[start:end]
                 values = _read_chunk(chunk, k, width - k) if whole and chunk.isascii() else None
                 if values is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -160,8 +161,9 @@ class RampScheme:
         player p (0-based), the distinct shares ``values[p]`` in ascending
         order and ``order[p]``, the rows in stable order of p's share.  The
         rows where p holds ``values[p][i]`` are
-        ``order[p][start[p][i]:start[p][i + 1]]``.  ``words[p // (63 // b)]`` holds
-        p's rank i in b bits from bit b * (p % (63 // b)), b those of the largest rank."""
+        ``order[p][start[p][i]:start[p][i + 1]]``.  ``window[p][j]`` packs the
+        ranks i of players p to p + 32 // b - 1 in row ``order[p][j]``, b bits
+        each from bit 0 up, b those of the largest rank."""
         order, values, start, ranks = [], [], [], []
         for p in range(self.n):
             shares, rank = _ranks(self.aoa.grid, [p], self.v)
@@ -171,10 +173,12 @@ class RampScheme:
             start.append(offsets)
             ranks.append(rank.astype(np.min_scalar_type(len(shares) - 1)))
         b = max(1, (max(map(len, values)) - 1).bit_length())
-        words = np.zeros((-(-self.n // (63 // b)), len(self.aoa.grid)), dtype=np.int64)
-        for p, rank in enumerate(ranks):
-            words[p // (63 // b)] |= rank.astype(np.int64) << b * (p % (63 // b))
-        return np.stack(order), values, start, words, b
+        window = np.empty((self.n, len(self.aoa.grid)), dtype=np.uint32)
+        packed = np.uint32(0)
+        for p in reversed(range(self.n)):  # players p + 32 // b and on shift out
+            packed = packed << b & (1 << 32 // b * b) - 1 | ranks[p]
+            packed.take(order[p], out=window[p])
+        return np.stack(order), values, start, window, b
 
     @property
     def rules(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -290,9 +294,9 @@ def deal(sch: RampScheme, secret: Sequence[int], seed: int) -> ShareBundle:
     Selection uses ``random.Random(seed)`` (Mersenne Twister), so the same
     seed always picks the same rule; reproducibility is the point here, not
     entropy quality.  It reads the secret's bucket of rows and their running
-    weight sums, kept from the secret's first deal: the sums that
-    ``random.choices`` would accumulate from the weights, so every seed picks
-    the rule it would pick from the weights themselves.
+    weight sums, kept from the secret's first deal, and bisects them just as
+    ``random.choices`` would, so each seed picks the same rule, and a total
+    past the floats raises the same ValueError.
     """
     i = sch._secret_id(secret)
     lo, hi = sch._start[i], sch._start[i + 1]
@@ -302,8 +306,11 @@ def deal(sch: RampScheme, secret: Sequence[int], seed: int) -> ShareBundle:
         cum = sch._cum_weights.get(i)
         if cum is None:
             rows = sch._by_secret[lo:hi].tolist()
-            cum = sch._cum_weights[i] = list(itertools.accumulate(sch.weights[r] for r in rows))
-        pick = rng.choices(range(hi - lo), cum_weights=cum, k=1)[0]
+            cum = list(itertools.accumulate(sch.weights[r] for r in rows))
+            if not math.isfinite(cum[-1] + 0.0):
+                raise ValueError("Total of weights must be finite")
+            sch._cum_weights[i] = cum
+        pick = bisect.bisect(cum, rng.random() * (cum[-1] + 0.0), 0, hi - lo - 1)
     shares = sch.aoa.grid[sch._by_secret[lo + pick], :sch.n].tolist()
     return ShareBundle._of_players(shares)
 
@@ -327,8 +334,8 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     failure rather than a user error.
 
     It reads the smallest of the bundle's share buckets (the rows where one
-    player holds its share), keeps the rows whose packed share ranks match
-    the bundle's, one masked compare per word, and reads their secrets.
+    player holds its share), keeps the rows that match the bundle's ranks in
+    the bucket's window and then its other shares, and reads their secrets.
     """
     if len(shares) < sch.t:
         raise ValueError(f"need at least t={sch.t} shares, got {len(shares)}")
@@ -336,24 +343,25 @@ def reconstruct(sch: RampScheme, shares: ShareBundle) -> ReconstructionResult:
     for p, _ in pairs:
         if p > sch.n:
             raise ValueError(f"player index {p} exceeds n={sch.n}")
-    order, values, start, words, b = sch._share_index
-    buckets = []  # (size, player, first offset) of each share's bucket
-    masks: dict[int, list[int]] = {}  # word: [mask, want] over the bundle's players
+    order, values, start, window, b = sch._share_index
+    buckets = []  # (size, player, first offset, share rank) of each share's bucket
     for p, x in pairs:
         known = values[p - 1]
         i = bisect.bisect_left(known, x)
         if i == len(known) or known[i] != x:
             return ReconstructionResult("no_matching_rule")
         lo, hi = start[p - 1][i], start[p - 1][i + 1]
-        buckets.append((hi - lo, p, lo))
-        w, j = divmod(p - 1, 63 // b)
-        entry = masks.setdefault(w, [0, 0])
-        entry[0] |= (1 << b) - 1 << b * j
-        entry[1] |= i << b * j
-    size, first, lo = min(buckets)
-    rows = order[first - 1, lo:lo + size]
-    for w, (mask, want) in masks.items():
-        rows = rows[(words[w].take(rows) & mask) == want]
+        buckets.append((hi - lo, p, lo, i))
+    size, first, lo, _ = min(buckets)
+    mask = want = 0  # over the bundle's players in the smallest bucket's window
+    for _, p, _, i in buckets:
+        if 0 <= p - first < 32 // b:
+            mask |= (1 << b) - 1 << b * (p - first)
+            want |= i << b * (p - first)
+    rows = order[first - 1, lo:lo + size][(window[first - 1, lo:lo + size] & mask) == want]
+    for p, x in pairs:
+        if not 0 <= p - first < 32 // b:  # a player outside that window
+            rows = rows[sch.aoa.grid[rows, p - 1] == x]
     found = sorted(set(sch._sid.take(rows).tolist()))
     if not found:
         return ReconstructionResult("no_matching_rule")

@@ -18,7 +18,14 @@ child for a ``verify`` run on stdin.  The cases:
 - ``load_array`` in process on 500,000 rows of ``0 1 1``, as ``dump_array``
   writes them and with a trailing space on every row, which the line loop reads;
 - ``dump_array`` and ``load_array`` of RS GF(211) t=2, the 44,521 x 212
-  array of ``construct oa-rs``, its text in canonical row order and shuffled.
+  array of ``construct oa-rs``, its text in canonical row order and shuffled;
+- ``audit_security`` of the Shamir schemes q=9 s=2 t=4 n=8, q=11 s=1 t=3
+  n=10 and q=11 s=2 t=4 n=8, each built before it is timed;
+- ``deal`` and ``reconstruct``, 2,000 requests of each, on the benchmark's
+  Shamir GF(11) s=2 t=4 n=8 scheme and on a table of 4,096 random rules for
+  64 players over v = 2.  The deals' and reconstructs' peaks are those of a
+  fresh scheme, its deal table or share index built inside them; the work
+  records the time per request and the bytes the share index holds.
 """
 
 from __future__ import annotations
@@ -40,7 +47,15 @@ sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 import run as bench  # noqa: E402  perfbench/run.py, for its reference loop and host details
 
 from oaramp import designs  # noqa: E402
-from oaramp.gf import GF  # noqa: E402
+from oaramp.gf import GF, field_for_order  # noqa: E402
+from oaramp.ramp import (  # noqa: E402
+    RampScheme,
+    ShareBundle,
+    audit_security,
+    deal,
+    reconstruct,
+    scheme_shamir,
+)
 
 RUNS = 3
 REFS: list[float] = []  # every reference loop timed, in seconds
@@ -96,16 +111,21 @@ def cap_bodies(rows):
     return out
 
 
-def in_process(name, layer, params, fn, work):
-    """A case run in process: timed without tracing, then once under ``tracemalloc``."""
-    _, seconds, ref = timed(fn)
+def traced_peak(fn):
+    """``fn()``'s ``tracemalloc`` peak, and the bytes still held after it."""
     tracemalloc.start()
     try:
         fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        return peak, held
     finally:
         tracemalloc.stop()
-    return case(name, layer, params, seconds, ref, work, {"tracemalloc_bytes": peak})
+
+
+def in_process(name, layer, params, fn, work):
+    """A case run in process: timed without tracing, then once under ``tracemalloc``."""
+    _, seconds, ref = timed(fn)
+    return case(name, layer, params, seconds, ref, work, {"tracemalloc_bytes": traced_peak(fn)[0]})
 
 
 def line_loop(rows):
@@ -131,6 +151,64 @@ def rs_text(q):
                        lambda: designs.load_array(head + "".join(rows)), work)]
 
 
+def audits(schemes):
+    """``audit_security`` of each Shamir scheme (q, s, t, n)."""
+    out = []
+    for q, s, t, n in schemes:
+        sch = scheme_shamir(field_for_order(q), s, t, n)
+        report = audit_security(sch)
+        out.append(in_process(f"audit_security, Shamir GF({q}) s={s} t={t} n={n}", "ramp",
+                              {"q": q, "s": s, "t": t, "n": n}, lambda: audit_security(sch),
+                              {"rules": len(sch.weights), "subsets": report.subsets_checked,
+                               "groups": report.groups_checked, "ok": report.ok}))
+    return out
+
+
+def requests(name, build, count):
+    """``count`` deals and reconstructs on the scheme ``build()`` returns, as
+    the benchmark's client asks them: a random secret and deal seed, then
+    alternately t of the dealt shares or t + 1 with one changed."""
+    sch, rng, asks = build(), random.Random(7), []
+    for i in range(count):
+        secret, seed = rng.choice(sch.secrets), rng.getrandbits(32)
+        pairs = dict(rng.sample(deal(sch, secret, seed).items(), sch.t + i % 2))
+        if i % 2:
+            p = rng.choice(sorted(pairs))
+            pairs[p] = (pairs[p] + rng.randrange(1, sch.v)) % sch.v
+        asks.append((secret, seed, ShareBundle(pairs)))
+    statuses = [reconstruct(sch, bundle).status for _, _, bundle in asks]
+    params = {"n": sch.n, "v": sch.v, "rules": len(sch.weights), "requests": count}
+
+    def deals(sch):
+        for secret, seed, _ in asks:
+            deal(sch, secret, seed)
+
+    def reconstructs(sch):
+        for _, _, bundle in asks:
+            reconstruct(sch, bundle)
+    out = []
+    for verb, fn in [("deal", deals), ("reconstruct", reconstructs)]:
+        _, seconds, ref = timed(lambda: fn(sch))
+        fresh = build()
+        peak, held = traced_peak(lambda: fn(fresh))  # held: what ``fresh`` keeps built
+        work = {"requests": count, "us_per_request": round(seconds / count * 1e6, 3)}
+        if verb == "reconstruct":
+            work.update(index_bytes=held, ok=statuses.count("ok"))
+        out.append(case(f"{verb}, {name}", "ramp", params, seconds, ref, work,
+                        {"tracemalloc_bytes": peak}))
+    return out
+
+
+def random_table(n, rules, seed=0):
+    """``rules`` distinct random share vectors for n players over v = 2, each
+    with a random secret of t - s = 2 bits (s = 1, t = 3)."""
+    rng, shares = random.Random(seed), set()
+    while len(shares) < rules:
+        shares.add(tuple(rng.getrandbits(1) for _ in range(n)))
+    return RampScheme(1, 3, n, 2, [(sh, (rng.getrandbits(1), rng.getrandbits(1)))
+                                   for sh in sorted(shares)])
+
+
 def git(*argv):
     proc = subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -142,9 +220,16 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true", help="cut every size down")
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
+    q, n, rules, asks = (7, 6, 256, 50) if args.quick else (11, 8, 4096, 2000)
     cases = [*cap_bodies(3333 if args.quick else 3333333),
              *line_loop(500 if args.quick else 500000),
-             *rs_text(11 if args.quick else 211)]
+             *rs_text(11 if args.quick else 211),
+             *audits([(5, 1, 3, 4), (7, 1, 2, 5), (5, 2, 4, 4)] if args.quick else
+                     [(9, 2, 4, 8), (11, 1, 3, 10), (11, 2, 4, 8)]),
+             *requests(f"Shamir GF({q}) s=2 t=4 n={n}", lambda: scheme_shamir(GF(q), 2, 4, n),
+                       asks),
+             *requests("random 64-player table over v = 2", lambda: random_table(64, rules),
+                       asks)]
     report = {"commit": git("rev-parse", "HEAD"),
               "src_modified": bool(git("status", "--porcelain", "--", "src")),
               "source_digest": bench.source_digest(),

@@ -712,6 +712,23 @@ def test_wide_symbols_cost_no_more_memory_than_narrow_ones():
     assert wide <= 1.1 * narrow + 8 * 1024
 
 
+def test_lone_carriage_returns_cost_no_more_memory_than_newlines():
+    """The same 200,000 rows, each ended by a "\\n" and by a lone "\\r", peak
+    alike: a body with no "\\n" is cut at its "\\r"s, a chunk at a time.  Cut
+    only at "\\n", the "\\r" body was read as one chunk of Python ints and
+    peaked 1.9 times as high."""
+    peaks = []
+    for end in (b"\n", b"\r"):
+        proc = subprocess.run([sys.executable, "-c", CHILD, "verify"],
+                              input=b"OA 2 3 2" + end + (b"0 1 1" + end) * 200000,
+                              env=CHILD_ENV, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (
+            1, b"OA(2,3,2): INVALID\nwitness: expected 4 rows, found 200000\n")
+        peaks.append(int(proc.stderr))
+    newline, carriage_return = peaks
+    assert carriage_return <= 1.25 * newline
+
+
 def test_an_endless_piped_stdin_exits_2_in_bounded_memory():
     """Read whole, the 39 MB fed here would peak near 1 GB before the verdict;
     the cap stops the read at 2 * 10^7 characters."""

@@ -544,14 +544,16 @@ def test_ranks_of_no_columns_over_an_alphabet_past_int64():
     assert projs.shape == (1, 0) and projs.dtype == np.int64 and rank.tolist() == [0, 0, 0]
 
 
-def check_reconstruct(sch, data):
+def check_reconstruct(sch, data, ends=False):
     """A bundle of t..n players, its lowest player any index that leaves room
-    for the rest, holding one rule's shares: as they are, one shifted by one,
-    all random, or one (at any position) outside [0, v)."""
+    for the rest (with ``ends``, players 1 and n and any others), holding one
+    rule's shares: as they are, one shifted by one, all random, or one (at
+    any position) outside [0, v).  Returns the bundle's players."""
     rules = sch.rules
-    size = data.draw(st.integers(sch.t, sch.n))
-    lowest = data.draw(st.integers(1, sch.n - size + 1))
-    rest = data.draw(st.permutations(range(lowest + 1, sch.n + 1)))[:size - 1]
+    size = data.draw(st.integers(max(sch.t, 2 if ends else 1), sch.n))
+    lowest = 1 if ends else data.draw(st.integers(1, sch.n - size + 1))
+    rest = data.draw(st.permutations(range(lowest + 1, sch.n + 1)))
+    rest = ([sch.n] + [p for p in rest if p != sch.n] if ends else rest)[:size - 1]
     players = [lowest, *rest]
     base = data.draw(st.sampled_from(rules))[0]
     values = [base[p - 1] for p in players]
@@ -566,6 +568,22 @@ def check_reconstruct(sch, data):
         values[i] = data.draw(st.sampled_from([-1, sch.v, 10**20]))
     bundle = ShareBundle(dict(zip(players, values)))
     assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
+    return players
+
+
+def check_window_layout(sch):
+    """The share index's windows, from the grid: ``window[p][j]`` packs the
+    share ranks of players p, ..., p + 32 // b - 1 of row ``order[p][j]``,
+    b bits each from bit 0 up and nothing above them, b the bit length of
+    the largest rank."""
+    order, values, _, window, b = sch._share_index
+    assert b == max(1, (max(map(len, values)) - 1).bit_length())
+    assert window.dtype == np.uint32 and window.shape == (sch.n, len(sch.weights))
+    ranks = [np.searchsorted(np.array(values[p], dtype=np.int64), sch.aoa.grid[:, p])
+             for p in range(sch.n)]
+    for p in range(sch.n):
+        want = sum(ranks[q][order[p]] << b * (q - p) for q in range(p, min(p + 32 // b, sch.n)))
+        assert window[p].tolist() == want.tolist()
 
 
 @SETTINGS
@@ -584,10 +602,10 @@ def test_reconstruct_on_uneven_share_buckets_matches_oracle(sch, data):
 
 @st.composite
 def wide_rule_tables(draw):
-    """Random rule tables whose packed share ranks fill two words or more:
-    64 to 130 players over v = 2 (a bit a rank, 63 players a word), or 22 to
-    40 players over v = 1000 or v = 2**70 whose shares take 8 to 70 values
-    (3 to 7 bits a rank, 21 to 9 players a word)."""
+    """Random rule tables whose players do not fit one window of packed share
+    ranks: 64 to 130 players over v = 2 (a bit a rank, 32 players a window),
+    or 22 to 40 players over v = 1000 or v = 2**70 whose shares take 8 to 70
+    values (3 to 7 bits a rank, 10 to 4 players a window)."""
     v = draw(st.sampled_from([2, 1000, 2**70]))
     n = draw(st.integers(64, 130) if v == 2 else st.integers(22, 40))
     t = draw(st.integers(1, 3))
@@ -603,28 +621,34 @@ def wide_rule_tables(draw):
 
 @SETTINGS
 @given(wide_rule_tables(), st.data())
-def test_reconstruct_with_ranks_in_several_words_matches_oracle(sch, data):
-    """Bundles name players in any of the words, and a shifted share in any
-    one of them must fail the compare."""
-    assert len(sch._share_index[3]) > 1
+def test_reconstruct_with_players_past_one_window_matches_oracle(sch, data):
+    """Bundles name players anywhere, and a shifted share at any one of them
+    must fail the compare.  The second bundle holds players 1 and n, more
+    than a window apart, so it always reaches past the window of its
+    smallest share bucket, whichever player's bucket that is."""
+    check_window_layout(sch)
     check_reconstruct(sch, data)
+    players = check_reconstruct(sch, data, ends=True)
+    assert {1, sch.n} <= set(players) and sch.n - 1 >= 32 // sch._share_index[4]
 
 
-@pytest.mark.parametrize("n, v, values, b, words", [
-    (63, 2, 2, 1, 1), (64, 2, 2, 1, 2), (126, 2, 2, 1, 2), (127, 2, 2, 1, 3),
-    (31, 5, 3, 2, 1), (32, 5, 3, 2, 2), (15, 17, 16, 4, 1), (16, 17, 16, 4, 2),
-    (9, 2**70, 65, 7, 1), (10, 2**70, 65, 7, 2)])
-def test_share_ranks_take_b_bits_and_a_word_holds_63_over_b_players(n, v, values, b, words):
+@pytest.mark.parametrize("n, v, values, b", [
+    (32, 2, 2, 1), (33, 2, 2, 1), (16, 5, 3, 2), (17, 5, 3, 2),
+    (8, 17, 16, 4), (9, 17, 16, 4), (4, 2**70, 65, 7), (5, 2**70, 65, 7)])
+def test_share_ranks_take_b_bits_and_a_window_holds_32_over_b_players(n, v, values, b):
     """``values`` rules, each giving all n players one of ``values`` symbols
     spread over [0, v): every share rank up to values - 1 occurs, so b is its
-    bit length.  Bundles of the last player and any other, consistent or
-    not, reconstruct as the oracle does."""
+    bit length.  At n = 32 // b player 1's window holds every player; at one
+    more, player n is past it.  Every bundle of two players, consistent or
+    not, reconstructs as the oracle does."""
     symbols = [(min(v, 2**63) - 1) * i // (values - 1) for i in range(values)]
     sch = RampScheme(0, 1, n, v, [((x,) * n, (i % 2,)) for i, x in enumerate(symbols)])
-    assert sch._share_index[4] == b and len(sch._share_index[3]) == words
-    for p, x, y in itertools.product(range(1, n), symbols, (0, symbols[1])):
-        bundle = ShareBundle({p: x, n: y})
-        assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
+    check_window_layout(sch)
+    assert sch._share_index[4] == b
+    for p, q in itertools.combinations(range(1, n + 1), 2):
+        for x, y in itertools.product(symbols, (0, symbols[1])):
+            bundle = ShareBundle({p: x, q: y})
+            assert plain(reconstruct(sch, bundle)) == oracles.reconstruct(sch, bundle)
 
 
 @SETTINGS
@@ -650,6 +674,19 @@ def test_deal_with_float_weights_matches_oracle(sch, data, seeds):
         for secret in sch.secrets:
             want = oracles.deal(sch, secret, seed).items()
             assert plain(deal(sch, secret, seed).items()) == want
+
+
+def test_deal_picks_the_last_rule_at_a_draw_of_one_as_random_choices_does(monkeypatch):
+    """A draw of 1.0, just past what ``random()`` returns, times the total
+    reaches the last running sum: ``random.choices`` bounds its bisect to
+    pick the last rule then, and ``deal`` must too."""
+    monkeypatch.setattr(random.Random, "random", lambda self: 1.0)
+    sch = scheme_shamir(field_for_order(5), 1, 3, 4)  # 25 rules a secret
+    weighted = RampScheme(1, 3, 4, 5, sch.rules,
+                          [FLOAT_WEIGHTS[i % 6] for i in range(len(sch.weights))])
+    for x in (sch, weighted):
+        for secret in x.secrets:
+            assert plain(deal(x, secret, 0).items()) == oracles.deal(x, secret, 0).items()
 
 
 def test_reconstruct_reports_every_ambiguous_candidate():

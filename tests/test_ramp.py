@@ -261,6 +261,20 @@ def test_deal_weight_proportional_selection():
     assert hits.count(1) == 20  # the 10^9-weight rule wins every draw
 
 
+@pytest.mark.parametrize("weights", [[1, float("inf"), 1, 1], [float("nan"), 1, 1, 1],
+                                     [1e308, 1e308, 1, 1]])
+def test_deal_on_weights_that_sum_past_the_floats_raises_as_random_choices_does(weights):
+    """A bucket whose weights hold inf or nan, or sum to inf, has no total to
+    pick from: every deal of its secret raises the ValueError that
+    ``random.choices`` raises, and the other secret's bucket still deals."""
+    rules = [((0, 0), (0,)), ((0, 1), (0,)), ((1, 0), (1,)), ((1, 1), (1,))]
+    sch = RampScheme(1, 2, 2, 2, rules, weights=weights)
+    for seed in (0, 1):
+        with pytest.raises(ValueError, match="^Total of weights must be finite$"):
+            deal(sch, (0,), seed)
+    assert deal(sch, (1,), 0).items()[0] == (1, 1)
+
+
 @pytest.mark.parametrize("n,v", [(2, 2), (70, 2), (3, 2**40)])
 def test_weights_follow_their_rules_into_canonical_order(n, v):
     """Rules given out of order, each with its own weight: the scheme keeps
@@ -344,21 +358,22 @@ def test_reconstruct_reports_ambiguity_as_integrity_failure():
     assert result.candidates == ((0,), (1,))
 
 
-def test_the_share_index_adds_one_int64_per_row_to_the_bucket_order():
-    """The GF(11) s=2 t=4 n=8 scheme: its 8 share ranks of 4 bits fit one
-    word, and its index holds that word beside the int32 bucket order and
-    the short per-player lists of values and offsets."""
+def test_the_share_index_adds_one_uint32_per_player_and_row_to_the_bucket_order():
+    """The GF(11) s=2 t=4 n=8 scheme: its share ranks take 4 bits, so a
+    window packs 8 players', and its index holds one uint32 window per player
+    and row beside the int32 bucket order and the short per-player lists of
+    values and offsets."""
     sch = scheme_shamir(GF(11), 2, 4, 8)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        order, values, start, words, b = sch._share_index
+        order, values, start, window, b = sch._share_index
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    rows = len(sch.weights)
-    assert (b, words.shape, order.dtype.itemsize) == (4, (1, rows), 4)
-    assert held <= order.nbytes + 8 * rows + 2**14
+    n, rows = sch.n, len(sch.weights)
+    assert (b, window.shape, window.itemsize, order.dtype.itemsize) == (4, (n, rows), 4, 4)
+    assert held <= order.nbytes + 4 * n * rows + 2**14
 
 
 def test_threads_building_the_lazy_tables_at_once_get_sequential_results():

@@ -21,10 +21,15 @@ def test_the_scale_tier_writes_its_schema_at_cut_down_sizes(tmp_path):
                            "reference_ms", "wall_s", "cases", "skipped"}
     assert set(report["machine"]) == {"python", "numpy", "nproc"}
     assert report["quick"] is True and report["skipped"] == []
-    assert len(report["cases"]) == 7
+    assert len(report["cases"]) == 14
     for case in report["cases"]:
         assert {key: type(value) for key, value in case.items()} == CASE
         assert case["runs"] >= 3 and case["median_ms"] > 0
         assert set(case["peak"]) in ({"vmhwm_kib"}, {"tracemalloc_bytes"})
     children = [case["work"] for case in report["cases"] if case["layer"] == "cli"]
     assert [(w["exit"], w["witness_ok"]) for w in children] == [(1, True), (1, True)]
+    ramp = [case for case in report["cases"] if case["layer"] == "ramp"]
+    assert [case["name"].split(",")[0] for case in ramp] == (
+        ["audit_security"] * 3 + ["deal", "reconstruct"] * 2)
+    assert all(case["work"]["ok"] for case in ramp[:3])
+    assert all(case["work"]["index_bytes"] > 0 for case in ramp[4::2])

@@ -93,6 +93,9 @@ DEFECTS = ["extra", "missing", "word", "huge", "negative", "top", "comma", "head
            "blank before header", "blank between rows", "blank at end", "no final newline",
            "plus", "leading zeros", "underscore", "non-ascii digit", "19 digits",
            "space after comma"]
+# The reader's tests also end every line with a lone "\r"; the CLI corpus,
+# recorded from DEFECTS, does not.
+READER_DEFECTS = [*DEFECTS, "cr"]
 # Each replaces one symbol (or one header number) with a spelling int() reads.
 SPELLINGS = {"plus": lambda x: "+" + x, "leading zeros": lambda x: "00" + x,
              "underscore": lambda x: "1_0", "non-ascii digit": lambda x: "\u0663",
@@ -108,8 +111,8 @@ def with_defect(text, defect, pick):
     """``text``, canonical array text, with one defect placed by ``pick``,
     which returns one element of the sequence it is given."""
     lines = text.splitlines()
-    if defect == "crlf":
-        return "\r\n".join(lines) + "\r\n"
+    if defect in ("crlf", "cr"):
+        return "".join(ln + {"crlf": "\r\n", "cr": "\r"}[defect] for ln in lines)
     if defect == "blank before header":
         return "\n" + text
     if defect == "blank at end":
@@ -158,7 +161,7 @@ def with_defect(text, defect, pick):
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
-@given(arrays(), st.sampled_from(DEFECTS), st.data())
+@given(arrays(), st.sampled_from(READER_DEFECTS), st.data())
 def test_load_matches_the_oracle_on_one_defect(a, defect, data):
     text = with_defect(dump_array(a), defect, drawing(data))
     assert outcome(load_array, text) == outcome(oracles.load_array, text)
@@ -169,7 +172,7 @@ SMALL_CHUNKS = [1, 5, 12]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(arrays(), st.sampled_from(["none", *DEFECTS]), st.sampled_from(SMALL_CHUNKS),
+@given(arrays(), st.sampled_from(["none", *READER_DEFECTS]), st.sampled_from(SMALL_CHUNKS),
        st.integers(0, 9), st.data())
 def test_load_in_chunks_of_a_few_lines_matches_the_oracle(a, defect, cells, seed, data):
     text = shuffled(dump_array(a), seed)
@@ -189,11 +192,11 @@ def with_two_defects(text, first, second, pick):
     half = len(rows) // 2
     one = with_defect(head + "".join(rows[:half]), first, pick)
     two = with_defect(head + "".join(rows[half:]), second, pick)
-    return one + two.lstrip("\n").partition("\n")[2]
+    return one + "".join(two.lstrip("\n").splitlines(keepends=True)[1:])
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(arrays(), st.sampled_from(DEFECTS), st.sampled_from(DEFECTS),
+@given(arrays(), st.sampled_from(READER_DEFECTS), st.sampled_from(READER_DEFECTS),
        st.sampled_from(SMALL_CHUNKS), st.data())
 def test_load_with_two_defects_in_different_chunks_matches_the_oracle(a, first, second, cells,
                                                                        data):
@@ -221,8 +224,8 @@ def cut(text, data):
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
-@given(arrays(), st.lists(st.sampled_from(DEFECTS), max_size=2), st.sampled_from(SMALL_CHUNKS),
-       st.data())
+@given(arrays(), st.lists(st.sampled_from(READER_DEFECTS), max_size=2),
+       st.sampled_from(SMALL_CHUNKS), st.data())
 def test_load_from_pieces_matches_load_from_the_whole_text(a, defects, cells, data):
     """A text with no defect, one or two, and maybe one of its line ends a
     "\\r" alone, read from pieces cut anywhere: the reader carries each
@@ -241,6 +244,30 @@ def test_load_from_pieces_matches_load_from_the_whole_text(a, defects, cells, da
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "_LOAD_CELLS", cells)
         assert outcome(load_array, pieces) == outcome(load_array, text)
+
+
+def test_lone_carriage_returns_are_cut_as_the_pieces_arrive_and_into_windows(monkeypatch):
+    """A body of 50,000 rows, each ended by a lone "\\r", from pieces of 2^16
+    characters: the whole lines of each piece are read as it arrives, in
+    chunks of at most 2 * ``_LOAD_CELLS`` characters, as its "\\n" twin's
+    are.  Cut only at "\\n", the body was carried whole into one chunk."""
+    text = "OA 2 3 2\r" + "0 1 1\r" * 50000
+    want, taken, reads = load_array(text.replace("\r", "\n")), 0, []
+
+    def pieces():
+        nonlocal taken
+        for at in range(0, len(text), 2**16):
+            taken += 1
+            yield text[at:at + 2**16]
+    read_lines = designs._read_lines
+
+    def recording(body, k, aug_width):
+        reads.append((taken, len(body)))
+        return read_lines(body, k, aug_width)
+    monkeypatch.setattr(designs, "_read_lines", recording)
+    assert load_array(pieces()) == want
+    assert sorted({piece for piece, _ in reads}) == list(range(1, taken + 1)) == [1, 2, 3, 4, 5]
+    assert max(size for _, size in reads) <= 2 * designs._LOAD_CELLS
 
 
 ROWS = "0 1\n" * 5000  # 10,000 cells: more than one chunk at the default size
